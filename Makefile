@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-audit lint-sarif lint-baseline race bench bench-compare fuzz fuzz-smoke serve-smoke load-smoke shard-smoke scenarios check
+.PHONY: build test vet lint lint-audit lint-sarif lint-baseline race jobs-stress bench bench-compare fuzz fuzz-smoke serve-smoke load-smoke shard-smoke scenarios check
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,12 @@ lint-baseline:
 
 race:
 	$(GO) test -race ./...
+
+# jobs-stress repeats the job store's checkpoint-ordering tests under
+# the race detector: a torn or out-of-order checkpoint write shows up
+# as a flake one run in a few, so one pass of `race` is not enough.
+jobs-stress:
+	$(GO) test -race -count=20 -run '^(TestCheckpointResume|TestCloseCancelsRunning|TestCheckpointedJobsLeaveTerminalRecords)$$' ./internal/jobs/
 
 # bench runs every benchmark in the repo with allocation accounting and
 # snapshots the results as JSON through cmd/benchdiff — the trajectory
@@ -109,10 +115,11 @@ shard-smoke:
 # check is the tier-1 verify path: build, vet, lint (diff-gated) plus
 # the suppression audit, then race-checked tests, so the exploration engine's, experiment runner's and
 # reliability trial pool's concurrency is exercised under the race
-# detector on every PR, plus a replay of the fuzz seed corpus, the
+# detector on every PR, the repeated job-checkpoint stress, plus a
+# replay of the fuzz seed corpus, the
 # daemon's end-to-end smoke, the load/SLO smoke, the 3-process sharded
 # explore smoke and the scenario-corpus gate.
-check: build vet lint lint-audit race fuzz-smoke serve-smoke load-smoke shard-smoke scenarios
+check: build vet lint lint-audit race jobs-stress fuzz-smoke serve-smoke load-smoke shard-smoke scenarios
 
 # scenarios validates the declarative-scenario corpus: every *.json
 # under examples/scenarios/ must load and compile through the shared

@@ -326,19 +326,36 @@ func BenchmarkE22ScanConverter(b *testing.B) {
 }
 
 // BenchmarkServiceExplore measures the HTTP service layer end-to-end
-// over an in-process server: cold issues a distinct request every
-// iteration (cache miss, full sweep through the shared worker pool),
-// warm replays one request (canonical-key cache hit). The concurrent
-// variants fan the same load across parallel clients, where cold
-// requests split the worker pool and identical in-flight requests
-// coalesce.
+// over an in-process server. cold issues a structurally new request
+// every iteration (a distinct hit_rate: every tier misses and the
+// request pays the full sweep through the shared worker pool); delta
+// varies only bandwidth_gbps after one base sweep, so every iteration
+// is served by the delta tier; warm replays one request
+// (canonical-key cache hit). The concurrent variants fan the same load
+// across parallel clients, where cold requests split the worker pool
+// and identical in-flight requests coalesce. The per-endpoint budget
+// and admission queue are sized to the clients × GOMAXPROCS
+// goroutines RunParallel starts, so no request is shed.
 func BenchmarkServiceExplore(b *testing.B) {
-	for _, mode := range []string{"cold", "warm"} {
+	const base = `{"capacity_mbit":16,"bandwidth_gbps":1,"hit_rate":0.5}`
+	bodies := map[string]func(i int64) string{
+		"cold": func(i int64) string {
+			return fmt.Sprintf(`{"capacity_mbit":16,"bandwidth_gbps":1,"hit_rate":%.9f}`, 0.5+float64(i)*1e-9)
+		},
+		"delta": func(i int64) string {
+			return fmt.Sprintf(`{"capacity_mbit":16,"bandwidth_gbps":%.9f,"hit_rate":0.5}`, 1+float64(i)*1e-6)
+		},
+		"warm": func(int64) string { return base },
+	}
+	for _, mode := range []string{"cold", "delta", "warm"} {
 		for _, clients := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/clients=%d", mode, clients), func(b *testing.B) {
+				goroutines := clients * runtime.GOMAXPROCS(0)
 				srv := httptest.NewServer(edrampkg.NewService(edrampkg.ServiceConfig{
-					CacheEntries: 1 << 16,
-					CacheTTL:     -1, // entries never expire mid-benchmark
+					CacheEntries:          1 << 16,
+					CacheTTL:              -1, // entries never expire mid-benchmark
+					DefaultEndpointBudget: goroutines,
+					MaxQueueDepth:         goroutines,
 				}))
 				defer srv.Close()
 				client := srv.Client()
@@ -356,28 +373,19 @@ func BenchmarkServiceExplore(b *testing.B) {
 					}
 					return nil
 				}
-				// Distinct bandwidths force distinct canonical keys.
-				cold := func(i int64) string {
-					return fmt.Sprintf(`{"capacity_mbit":16,"bandwidth_gbps":%.9f,"hit_rate":0.5}`, 1+float64(i)*1e-6)
-				}
-				const warmBody = `{"capacity_mbit":16,"bandwidth_gbps":1,"hit_rate":0.5}`
-				if mode == "warm" {
-					if err := post(warmBody); err != nil {
+				// delta and warm start from the base request's sweep.
+				if mode != "cold" {
+					if err := post(base); err != nil {
 						b.Fatal(err)
 					}
 				}
+				body := bodies[mode]
 				var seq atomic.Int64
 				b.ResetTimer()
 				b.SetParallelism(clients) // clients × GOMAXPROCS goroutines
 				b.RunParallel(func(pb *testing.PB) {
 					for pb.Next() {
-						var err error
-						if mode == "cold" {
-							err = post(cold(seq.Add(1)))
-						} else {
-							err = post(warmBody)
-						}
-						if err != nil {
+						if err := post(body(seq.Add(1))); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -1,6 +1,6 @@
 // Package deprecated flags uses of symbols whose doc comment carries a
-// "Deprecated:" marker — most immediately the positional sched.Run,
-// deprecated when PR 1 introduced RunWithOptions. The index is built
+// "Deprecated:" marker, so a compatibility shim keeps its old callers
+// working without gaining new ones. The index is built
 // from every package the loader materialized, so facade re-exports and
 // cross-package calls are caught; the deprecated symbol's own
 // declaration (its compatibility-shim body) is exempt.

@@ -43,6 +43,8 @@ func (s *Store) persist(j *Job) error {
 	if s.cfg.Dir == "" {
 		return nil
 	}
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
 	s.mu.Lock()
 	if j.removed {
 		s.mu.Unlock()
@@ -66,23 +68,37 @@ func (s *Store) persist(j *Job) error {
 	if err != nil {
 		return fmt.Errorf("jobs: encode checkpoint %s: %w", j.ID, err)
 	}
-	final := s.path(j.ID)
+	//nolint:edramvet/locks // persistMu guards this one job's file: only its own later writes wait, and they must
+	return s.commit(j.ID, append(data, '\n'))
+}
+
+// commit writes a job's record to its tmp file and renames it into
+// place.
+func (s *Store) commit(id string, data []byte) error {
+	final := s.path(id)
 	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("jobs: write checkpoint %s: %w", j.ID, err)
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return fmt.Errorf("jobs: write checkpoint %s: %w", id, err)
 	}
 	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("jobs: commit checkpoint %s: %w", j.ID, err)
+		return fmt.Errorf("jobs: commit checkpoint %s: %w", id, err)
 	}
 	return nil
 }
 
-func (s *Store) removeFile(id string) {
+// removeFile deletes a removed job's checkpoint. It waits out a
+// persist already writing, and any later persist sees j.removed and
+// writes nothing.
+func (s *Store) removeFile(j *Job) {
 	if s.cfg.Dir == "" {
 		return
 	}
-	_ = os.Remove(s.path(id))
-	_ = os.Remove(s.path(id) + ".tmp")
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
+	for _, name := range []string{s.path(j.ID), s.path(j.ID) + ".tmp"} {
+		//nolint:edramvet/locks // persistMu guards this one job's file: only its own writes wait, and they must
+		_ = os.Remove(name)
+	}
 }
 
 // Resume scans the checkpoint directory and rebuilds the store's
@@ -155,9 +171,10 @@ func (s *Store) Resume(resolve Resolver) (restarted int, err error) {
 		j := s.newJobLocked(rec.ID, rec.Kind, rec.Key, rec.Request, rec.State)
 		j.progress = rec.Progress
 		j.checkpoints = rec.Progress.Checkpoints
-		s.launchLocked(j, run)
+		start := s.launchLocked(j, run)
 		restarted++
 		s.mu.Unlock()
+		start()
 	}
 	return restarted, errors.Join(errs...)
 }

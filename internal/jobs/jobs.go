@@ -137,6 +137,11 @@ type Job struct {
 	cancel      context.CancelFunc
 	done        chan struct{}
 	checkpoints int
+
+	// persistMu serializes the job's file writes and removal: each
+	// persist snapshots the record under it, so an older snapshot can
+	// never land on disk after a newer one.
+	persistMu sync.Mutex
 }
 
 // Snapshot is a race-free copy of a job's observable state.
@@ -214,7 +219,7 @@ func (s *Store) Submit(id, kind, key string, req json.RawMessage, run RunFunc) (
 		s.mu.Unlock()
 		return Snapshot{}, false, fmt.Errorf("%w: %d jobs already running", ErrOverloaded, s.cfg.MaxActive)
 	}
-	var evicted string
+	var evicted *Job
 	if len(s.jobs) >= s.cfg.MaxJobs {
 		victim, ok := s.evictLocked()
 		if !ok {
@@ -224,18 +229,20 @@ func (s *Store) Submit(id, kind, key string, req json.RawMessage, run RunFunc) (
 		evicted = victim
 	}
 	j := s.newJobLocked(id, kind, key, req, nil)
-	s.launchLocked(j, run)
+	start := s.launchLocked(j, run)
 	snap := j.snapshotLocked()
 	s.mu.Unlock()
 
 	// Disk work happens outside the lock: drop the evicted job's
 	// checkpoint, then persist the birth record — a fresh running job
 	// with no state yet, so a crash before the first checkpoint still
-	// restarts the job after resume.
-	if evicted != "" {
+	// restarts the job after resume. The runner starts only after the
+	// birth record is on disk, so no checkpoint of it can come first.
+	if evicted != nil {
 		s.removeFile(evicted)
 	}
 	s.persist(j)
+	start()
 	return snap, true, nil
 }
 
@@ -256,50 +263,55 @@ func (s *Store) newJobLocked(id, kind, key string, req, resumed json.RawMessage)
 	return j
 }
 
-// launchLocked starts the runner goroutine for a registered job.
-func (s *Store) launchLocked(j *Job, run RunFunc) {
+// launchLocked reserves an active slot for a registered job and
+// returns the function that starts its runner goroutine; the caller
+// calls it after releasing s.mu.
+func (s *Store) launchLocked(j *Job, run RunFunc) (start func()) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	j.cancel = cancel
 	s.active++
 	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer cancel()
-		result, err := run(ctx, &Handle{store: s, job: j})
+	return func() { go s.runJob(ctx, cancel, j, run) }
+}
 
-		s.mu.Lock()
-		s.active--
-		switch {
-		case err == nil:
-			j.state = StateSucceeded
-			j.result = result
-		case errors.Is(err, context.Canceled) || ctx.Err() != nil:
-			j.state = StateCancelled
-			j.errMsg = "cancelled"
-		default:
-			j.state = StateFailed
-			j.errMsg = err.Error()
-		}
-		persistTerminal := !j.removed && j.state != StateCancelled
-		s.mu.Unlock()
+// runJob executes a launched job and records its outcome.
+func (s *Store) runJob(ctx context.Context, cancel context.CancelFunc, j *Job, run RunFunc) {
+	defer s.wg.Done()
+	defer cancel()
+	result, err := run(ctx, &Handle{store: s, job: j})
 
-		// A cancelled job keeps its last checkpoint file untouched:
-		// shutdown-cancelled work must resume from it after restart.
-		// Success and failure overwrite the file with the terminal
-		// record so restarts serve the outcome instead of re-running.
-		if persistTerminal {
-			s.persist(j)
-		}
-		close(j.done)
-	}()
+	s.mu.Lock()
+	s.active--
+	switch {
+	case err == nil:
+		j.state = StateSucceeded
+		j.result = result
+	case errors.Is(err, context.Canceled) || ctx.Err() != nil:
+		j.state = StateCancelled
+		j.errMsg = "cancelled"
+	default:
+		j.state = StateFailed
+		j.errMsg = err.Error()
+	}
+	persistTerminal := !j.removed && j.state != StateCancelled
+	s.mu.Unlock()
+
+	// A cancelled job keeps its last checkpoint file untouched:
+	// shutdown-cancelled work must resume from it after restart.
+	// Success and failure overwrite the file with the terminal
+	// record so restarts serve the outcome instead of re-running.
+	if persistTerminal {
+		s.persist(j)
+	}
+	close(j.done)
 }
 
 // evictLocked drops the oldest terminal job from the in-memory table
-// and returns its id; the caller deletes the checkpoint file after
+// and returns it; the caller deletes the checkpoint file after
 // releasing s.mu (disk I/O must not run under the lock — it would
 // stall every snapshot read behind the filesystem). Map iteration
 // feeds a sort, so eviction order is deterministic.
-func (s *Store) evictLocked() (string, bool) {
+func (s *Store) evictLocked() (*Job, bool) {
 	var terminal []*Job
 	for _, j := range s.jobs {
 		terminal = append(terminal, j)
@@ -309,10 +321,10 @@ func (s *Store) evictLocked() (string, bool) {
 		if j.state.Terminal() {
 			j.removed = true
 			delete(s.jobs, j.ID)
-			return j.ID, true
+			return j, true
 		}
 	}
-	return "", false
+	return nil, false
 }
 
 // Get returns a snapshot of the job.
@@ -365,7 +377,7 @@ func (s *Store) Delete(id string) error {
 	if cancel != nil {
 		cancel()
 	}
-	s.removeFile(id)
+	s.removeFile(j)
 	return nil
 }
 

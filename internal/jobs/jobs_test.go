@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -364,5 +365,44 @@ func TestCloseCancelsRunning(t *testing.T) {
 	}
 	if _, _, err := s.Submit("late", "test", "k", nil, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after close: %v", err)
+	}
+}
+
+// TestCheckpointedJobsLeaveTerminalRecords pins the ordering of a
+// job's file writes: the birth record, the runner's checkpoint and the
+// terminal record of each of many concurrent jobs land in that order,
+// so every file ends as a parseable terminal record.
+func TestCheckpointedJobsLeaveTerminalRecords(t *testing.T) {
+	const n = 200
+	dir := t.TempDir()
+	s := newTestStore(t, Config{Dir: dir, MaxJobs: n, MaxActive: n})
+	run := func(ctx context.Context, h *Handle) ([]byte, error) {
+		if err := h.Checkpoint(json.RawMessage(`{"watermark":1}`)); err != nil {
+			return nil, err
+		}
+		return []byte("done\n"), nil
+	}
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("job%03d", i)
+		if _, _, err := s.Submit(ids[i], "test", "k", json.RawMessage(`{}`), run); err != nil {
+			t.Fatalf("submit %s: %v", ids[i], err)
+		}
+	}
+	for _, id := range ids {
+		if snap := waitTerminal(t, s, id); snap.State != StateSucceeded {
+			t.Fatalf("%s: state %s (%s)", id, snap.State, snap.Error)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, id+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec checkpointFile
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatalf("%s: torn record: %v\n%s", id, err, data)
+		}
+		if rec.Status != StateSucceeded || string(rec.Result) != "done\n" {
+			t.Errorf("%s: record status %s result %q, want succeeded %q", id, rec.Status, rec.Result, "done\n")
+		}
 	}
 }

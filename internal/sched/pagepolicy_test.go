@@ -60,18 +60,3 @@ func TestClosedPageHelpsRandomMix(t *testing.T) {
 		t.Errorf("closed-page run saw %d conflict misses", closed.Device.PageMisses)
 	}
 }
-
-func TestRunIsRunWithDefaultOptions(t *testing.T) {
-	mk := func() []Client { return []Client{seqClient(0, "a", 0, 1, 200)} }
-	a, err := Run(devCfg(), interleaved(t), OpenPageFirst, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: OpenPageFirst}, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SustainedGBps != b.SustainedGBps || a.HitRate != b.HitRate {
-		t.Error("Run must equal RunWithOptions with default options")
-	}
-}

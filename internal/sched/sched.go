@@ -192,19 +192,9 @@ type TraceEntry struct {
 	Hit       bool
 }
 
-// Run drains every client's generator and serves the merged load on a
-// device built from devCfg, translating addresses through m and
-// arbitrating with policy. It returns the full report.
-//
-// Deprecated: use RunWithOptions, which exposes the full controller
-// options (page policy, reorder window, tracing, the per-event
-// Observer). Run remains as a positional-argument compatibility shim:
-// Run(cfg, m, p, cs) ≡ RunWithOptions(cfg, m, Options{Policy: p}, cs).
-func Run(devCfg dram.Config, m mapping.Mapping, policy Policy, clients []Client) (Result, error) {
-	return RunWithOptions(devCfg, m, Options{Policy: policy}, clients)
-}
-
-// RunWithOptions is Run with full controller options.
+// RunWithOptions drains every client's generator and serves the merged
+// load on a device built from devCfg, translating addresses through m
+// under the controller options opt. It returns the full report.
 func RunWithOptions(devCfg dram.Config, m mapping.Mapping, opt Options, clients []Client) (Result, error) {
 	policy := opt.Policy
 	if len(clients) == 0 {

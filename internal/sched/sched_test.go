@@ -50,7 +50,7 @@ func seqClient(id int, name string, startB int64, rate float64, n int) Client {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(devCfg(), interleaved(t), RoundRobin, nil); err == nil {
+	if _, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: RoundRobin}, nil); err == nil {
 		t.Error("no clients must error")
 	}
 	empty := Client{Name: "empty", Gen: &traffic.Sequential{Bits: 64, RateGB: 1, Count: 0}}
@@ -58,17 +58,17 @@ func TestRunErrors(t *testing.T) {
 	g := &traffic.Sequential{Bits: 64, RateGB: 1, Count: 1}
 	g.Next()
 	empty.Gen = g
-	if _, err := Run(devCfg(), interleaved(t), RoundRobin, []Client{empty}); err == nil {
+	if _, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: RoundRobin}, []Client{empty}); err == nil {
 		t.Error("empty streams must error")
 	}
 	bad := devCfg()
 	bad.Banks = 2 // mismatched mapping
-	if _, err := Run(bad, interleaved(t), RoundRobin, []Client{seqClient(0, "a", 0, 1, 10)}); err == nil {
+	if _, err := RunWithOptions(bad, interleaved(t), Options{Policy: RoundRobin}, []Client{seqClient(0, "a", 0, 1, 10)}); err == nil {
 		t.Error("geometry mismatch must error")
 	}
 	broken := devCfg()
 	broken.Timing.TCKns = 0
-	if _, err := Run(broken, interleaved(t), RoundRobin, []Client{seqClient(0, "a", 0, 1, 10)}); err == nil {
+	if _, err := RunWithOptions(broken, interleaved(t), Options{Policy: RoundRobin}, []Client{seqClient(0, "a", 0, 1, 10)}); err == nil {
 		t.Error("invalid device must error")
 	}
 }
@@ -76,7 +76,7 @@ func TestRunErrors(t *testing.T) {
 func TestSingleStreamNearPeak(t *testing.T) {
 	// One sequential client demanding more than peak must sustain close
 	// to the device peak (page hits dominate).
-	res, err := Run(devCfg(), interleaved(t), RoundRobin,
+	res, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: RoundRobin},
 		[]Client{seqClient(0, "stream", 0, 10, 2000)})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestMultiClientBelowPeak(t *testing.T) {
 		{Name: "r1", Gen: &traffic.Random{ClientID: 1, StartB: 64 << 10, WindowB: 64 << 10, Bits: 64, RateGB: 3, Count: 600, Rng: rand.New(rand.NewSource(2))}},
 		{Name: "r2", Gen: &traffic.Random{ClientID: 2, StartB: 128 << 10, WindowB: 64 << 10, Bits: 64, RateGB: 3, Count: 600, Rng: rand.New(rand.NewSource(3))}},
 	}
-	res, err := Run(devCfg(), linear(t), RoundRobin, clients)
+	res, err := RunWithOptions(devCfg(), linear(t), Options{Policy: RoundRobin}, clients)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestInterleavingBeatsLinearForPageStrides(t *testing.T) {
 		return []Client{{Name: "stride", Gen: &traffic.Strided{
 			StrideB: 256, Bits: 64, RateGB: 2, Count: 800}}}
 	}
-	lin, err := Run(devCfg(), linear(t), RoundRobin, mk())
+	lin, err := RunWithOptions(devCfg(), linear(t), Options{Policy: RoundRobin}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	il, err := Run(devCfg(), interleaved(t), RoundRobin, mk())
+	il, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: RoundRobin}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestFixedPriorityProtectsClient0(t *testing.T) {
 			{Name: "bulk", Gen: &traffic.Random{ClientID: 1, StartB: 256 << 10, WindowB: 256 << 10, Bits: 64, RateGB: 4, Count: 1600, Rng: rand.New(rand.NewSource(5))}},
 		}
 	}
-	rr, err := Run(devCfg(), interleaved(t), RoundRobin, mk())
+	rr, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: RoundRobin}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := Run(devCfg(), interleaved(t), FixedPriority, mk())
+	fp, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: FixedPriority}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +163,11 @@ func TestOpenPagePolicyRaisesHitRate(t *testing.T) {
 			seqClient(1, "b", 512, 2, 800), // same bank region under linear
 		}
 	}
-	rr, err := Run(devCfg(), linear(t), RoundRobin, mk())
+	rr, err := RunWithOptions(devCfg(), linear(t), Options{Policy: RoundRobin}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := Run(devCfg(), linear(t), OpenPageFirst, mk())
+	op, err := RunWithOptions(devCfg(), linear(t), Options{Policy: OpenPageFirst}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestOpenPagePolicyRaisesHitRate(t *testing.T) {
 }
 
 func TestOldestFirstIsFIFO(t *testing.T) {
-	res, err := Run(devCfg(), interleaved(t), OldestFirst, []Client{
+	res, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: OldestFirst}, []Client{
 		seqClient(0, "a", 0, 1, 300),
 		seqClient(1, "b", 1<<20, 1, 300),
 	})
@@ -194,7 +194,7 @@ func TestOldestFirstIsFIFO(t *testing.T) {
 }
 
 func TestResultAccounting(t *testing.T) {
-	res, err := Run(devCfg(), interleaved(t), RoundRobin, []Client{seqClient(0, "a", 0, 1, 100)})
+	res, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: RoundRobin}, []Client{seqClient(0, "a", 0, 1, 100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +218,11 @@ func TestResultAccounting(t *testing.T) {
 func TestFIFODepthGrowsWithContention(t *testing.T) {
 	// A streaming client alone has a shallow FIFO; squeezed by three
 	// heavy random clients, its worst-case occupancy grows.
-	solo, err := Run(devCfg(), interleaved(t), RoundRobin, []Client{seqClient(0, "v", 0, 1, 500)})
+	solo, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: RoundRobin}, []Client{seqClient(0, "v", 0, 1, 500)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := Run(devCfg(), interleaved(t), RoundRobin, []Client{
+	noisy, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: RoundRobin}, []Client{
 		seqClient(0, "v", 0, 1, 500),
 		{Name: "n1", Gen: &traffic.Random{ClientID: 1, StartB: 1 << 20, WindowB: 1 << 20, Bits: 512, RateGB: 3, Count: 800, Rng: rand.New(rand.NewSource(8))}},
 		{Name: "n2", Gen: &traffic.Random{ClientID: 2, StartB: 2 << 20, WindowB: 1 << 20, Bits: 512, RateGB: 3, Count: 800, Rng: rand.New(rand.NewSource(9))}},
@@ -256,7 +256,7 @@ func TestPolicyStrings(t *testing.T) {
 
 func TestAllPoliciesServeEverything(t *testing.T) {
 	for _, p := range []Policy{RoundRobin, FixedPriority, OldestFirst, OpenPageFirst} {
-		res, err := Run(devCfg(), interleaved(t), p, []Client{
+		res, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: p}, []Client{
 			seqClient(0, "a", 0, 1, 200),
 			{Name: "r", Gen: &traffic.Random{ClientID: 1, StartB: 1 << 20, WindowB: 1 << 20, Bits: 128, RateGB: 1, Count: 200, Rng: rand.New(rand.NewSource(11))}},
 		})
@@ -300,7 +300,7 @@ func TestTraceRecording(t *testing.T) {
 		t.Error("csv header wrong")
 	}
 	// Without the option, no trace is kept.
-	res2, err := Run(devCfg(), interleaved(t), RoundRobin, []Client{seqClient(0, "a", 0, 1, 10)})
+	res2, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: RoundRobin}, []Client{seqClient(0, "a", 0, 1, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,11 +316,11 @@ func TestDeadlinePolicyProtectsRealTimeClient(t *testing.T) {
 			{Name: "rt", LatencyBudgetNs: 200, Gen: &traffic.Sequential{ClientID: 1, StartB: 1 << 20, Bits: 64, RateGB: 0.5, Count: 600}},
 		}
 	}
-	rr, err := Run(devCfg(), interleaved(t), RoundRobin, mk())
+	rr, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: RoundRobin}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dl, err := Run(devCfg(), interleaved(t), Deadline, mk())
+	dl, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: Deadline}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestDeadlinePolicyProtectsRealTimeClient(t *testing.T) {
 }
 
 func TestResultCoreEnergy(t *testing.T) {
-	res, err := Run(devCfg(), interleaved(t), RoundRobin, []Client{seqClient(0, "a", 0, 1, 200)})
+	res, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: RoundRobin}, []Client{seqClient(0, "a", 0, 1, 200)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestResultCoreEnergy(t *testing.T) {
 		t.Fatalf("energy must be positive: %+v", e)
 	}
 	// A thrashing run (random, linear mapping) must cost more pJ/bit.
-	thrash, err := Run(devCfg(), linear(t), RoundRobin, []Client{
+	thrash, err := RunWithOptions(devCfg(), linear(t), Options{Policy: RoundRobin}, []Client{
 		{Name: "r", Gen: &traffic.Random{WindowB: 16 << 20, Bits: 64, RateGB: 1, Count: 200, Rng: rand.New(rand.NewSource(2))}},
 	})
 	if err != nil {

@@ -165,10 +165,10 @@ func TestExploreDeltaAgainstShardedByteParity(t *testing.T) {
 	}
 }
 
-// TestDeltaJobByteParity pins the async form: a kind "delta" job after
-// a warm explore returns exactly the cold synchronous bytes, and a
-// kind "delta" job on a cold daemon falls back to the checkpointed
-// explore runner with the same bytes.
+// TestDeltaJobByteParity pins the async form: an explore job submitted
+// after a warm explore of the same structure is served by the delta
+// tier and returns exactly the cold synchronous bytes, and the same job
+// on a cold daemon runs the checkpointed sweep with the same bytes.
 func TestDeltaJobByteParity(t *testing.T) {
 	cold := NewServer(Config{Workers: 2})
 	tsCold := httptest.NewServer(cold)
@@ -177,7 +177,7 @@ func TestDeltaJobByteParity(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("cold reference: status %d: %s", status, want)
 	}
-	deltaJob := `{"kind":"delta","delta":` + deltaTestReq + `}`
+	deltaJob := `{"kind":"explore","explore":` + deltaTestReq + `}`
 
 	t.Run("warm", func(t *testing.T) {
 		srv := NewServer(Config{Workers: 2})
@@ -197,6 +197,10 @@ func TestDeltaJobByteParity(t *testing.T) {
 		}
 		if status, got, _ := do(t, ts.Client(), "GET", ts.URL+"/v1/jobs/"+id+"/result"); status != http.StatusOK || got != want {
 			t.Errorf("warm delta job result differs from cold sweep (status %d)", status)
+		}
+		// The delta tier served it: one hit, and no checkpointed sweep.
+		if v := metricValue(t, ts.Client(), ts.URL, `edramd_cache_tier_hits_total{tier="delta"}`); v != "1" {
+			t.Errorf("delta tier hits after warm explore job = %q, want 1", v)
 		}
 		// The job cross-filled the synchronous tier under the explore
 		// key.

@@ -105,39 +105,49 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCachedTagged(w, r, "/v1/explore", key, func(ctx context.Context) ([]byte, string, error) {
-		workers, release, err := s.admitWorkers(ctx, "/v1/explore", s.cfg.Workers)
-		if err != nil {
-			return nil, "", err
-		}
-		defer release()
-		var resp *ExploreResponse
-		tag := ""
-		// The delta tier outranks the sharded fan-out: a byte-identity
-		// miss whose requirement structure matches a retained sweep is
-		// re-served incrementally (byte-identical to the cold
-		// computation, cheaper than partitioning it across peers).
-		// States are recorded by Warmup and by non-sharded cold sweeps;
-		// sharded sweeps never record (partial per-lane coverage would
-		// break the evals ⊆ coverage invariant).
-		if e := s.deltaStates.lookup(req); e != nil {
-			resp, err = s.serveExploreDelta(ctx, e, req, workers)
-			tag = "hit-delta"
-		} else {
-			s.tierDeltaMisses.Inc()
-			if s.shardingEnabled() {
-				resp, err = s.buildExploreSharded(ctx, req, workers)
-			} else {
-				resp, err = s.buildExploreRecorded(ctx, req, workers)
-			}
-		}
-		if err != nil {
-			return nil, "", err
-		}
-		b, err := Encode(resp)
-		return b, tag, err
+		return s.computeExplore(ctx, "/v1/explore", req)
 	})
 }
 
+// computeExplore is the explore answer below the byte tiers, admitted
+// under endpoint's budget. The delta tier outranks the sharded
+// fan-out: a byte-identity miss whose requirement structure matches a
+// retained sweep is re-served incrementally (byte-identical to the
+// cold computation, cheaper than partitioning it across peers), and
+// tagged "hit-delta". States are recorded by Warmup and by non-sharded
+// cold sweeps; sharded sweeps never record (partial per-lane coverage
+// would break the evals ⊆ coverage invariant).
+func (s *Server) computeExplore(ctx context.Context, endpoint string, req core.Requirements) ([]byte, string, error) {
+	workers, release, err := s.admitWorkers(ctx, endpoint, s.cfg.Workers)
+	if err != nil {
+		return nil, "", err
+	}
+	defer release()
+	var resp *ExploreResponse
+	tag := ""
+	if e := s.deltaStates.lookup(req); e != nil {
+		resp, err = s.serveExploreDelta(ctx, e, req, workers)
+		tag = "hit-delta"
+	} else {
+		s.tierDeltaMisses.Inc()
+		if s.shardingEnabled() {
+			resp, err = s.buildExploreSharded(ctx, req, workers)
+		} else {
+			resp, err = s.buildExploreRecorded(ctx, req, workers)
+		}
+	}
+	if err != nil {
+		return nil, "", err
+	}
+	b, err := Encode(resp)
+	return b, tag, err
+}
+
+// handleRecommend serves the picks of the explore answer for the same
+// requirements. Recommend keeps its own cache key; below it, the
+// explore answer is read through the explore tiers (memory, disk,
+// delta, then a recorded pruned sweep that fills them), and only its
+// recommendations array is decoded.
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var body RequirementsRequest
 	if !decodeBody(w, r, &body) {
@@ -154,17 +164,50 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 	key := HashKey("recommend", req.CanonicalKey())
 	s.serveCached(w, r, "/v1/recommend", key, func(ctx context.Context) ([]byte, error) {
-		workers, release, err := s.admitWorkers(ctx, "/v1/recommend", s.cfg.Workers)
-		if err != nil {
+		var explore struct {
+			Picks []RecommendationJSON `json:"recommendations"`
+		}
+		b, err := s.exploreAnswer(ctx, "/v1/recommend", req)
+		switch {
+		case err == nil:
+			if err := json.Unmarshal(b, &explore); err != nil {
+				return nil, err
+			}
+		case !errors.Is(err, errNoBuildable):
 			return nil, err
 		}
-		defer release()
-		resp, err := BuildRecommend(ctx, req, workers)
+		workers := 0
+		if len(explore.Picks) == 0 {
+			// recommendResponse words the error with a full sweep.
+			got, release, err := s.admitWorkers(ctx, "/v1/recommend", s.cfg.Workers)
+			if err != nil {
+				return nil, err
+			}
+			defer release()
+			workers = got
+		}
+		resp, err := recommendResponse(ctx, req, explore.Picks, workers)
 		if err != nil {
 			return nil, err
 		}
 		return Encode(resp)
 	})
+}
+
+// exploreAnswer returns req's encoded explore answer through the
+// explore tiers: memory, disk, then computeExplore (the delta tier or
+// a recorded pruned sweep), whose bytes fill the byte tiers.
+func (s *Server) exploreAnswer(ctx context.Context, endpoint string, req core.Requirements) ([]byte, error) {
+	key := HashKey("explore", req.CanonicalKey())
+	if b, _, ok := s.lookupTiered(key); ok {
+		return b, nil
+	}
+	b, _, err := s.computeExplore(ctx, endpoint, req)
+	if err != nil {
+		return nil, err
+	}
+	s.fillCaches(key, b)
+	return b, nil
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {

@@ -26,24 +26,20 @@ import (
 	"edram/internal/reliab"
 	"edram/internal/scenario"
 	"edram/internal/sched"
+	"edram/internal/shard"
 )
 
 // JobRequest is the POST /v1/jobs body: a kind plus exactly the
 // matching payload.
 type JobRequest struct {
 	SchemaVersion int `json:"schema_version,omitempty"`
-	// Kind selects the computation: "explore", "delta", "trials" or
-	// "scenario".
+	// Kind selects the computation: "explore", "trials" or "scenario".
 	Kind string `json:"kind"`
-	// Explore runs the full design-space exploration (the async form
-	// of POST /v1/explore, sharing its result bytes and cache key).
+	// Explore runs the design-space exploration (the async form of
+	// POST /v1/explore, sharing its result bytes and cache key). Like
+	// the endpoint, a fresh job is served by the delta tier when the
+	// daemon retains an eligible same-structure sweep.
 	Explore *core.Requirements `json:"explore,omitempty"`
-	// Delta re-explores requirements preferring the incremental delta
-	// path: when the daemon retains an eligible same-structure state,
-	// only newly exposed Seq intervals are swept; otherwise the job
-	// falls back to the checkpointed explore runner. The result bytes
-	// and the explore cache key are shared with kind "explore".
-	Delta *core.Requirements `json:"delta,omitempty"`
 	// Trials runs a Monte-Carlo fault-injection campaign over the
 	// controller simulation.
 	Trials *TrialsJobRequest `json:"trials,omitempty"`
@@ -236,16 +232,6 @@ func (s *Server) compileJob(req JobRequest) (compiledJob, error) {
 		kind = "explore"
 		canonical = "job/v1|kind=explore|" + req.Explore.CanonicalKey()
 		run = s.runExploreJob(*req.Explore)
-	case "delta":
-		if req.Delta == nil {
-			return compiledJob{}, errors.New(`job kind "delta" requires the delta payload`)
-		}
-		if v := req.Delta.Violations(); len(v) > 0 {
-			return compiledJob{}, violationsError(v)
-		}
-		kind = "delta"
-		canonical = "job/v1|kind=delta|" + req.Delta.CanonicalKey()
-		run = s.runDeltaJob(*req.Delta)
 	case "trials":
 		if req.Trials == nil {
 			return compiledJob{}, errors.New(`job kind "trials" requires the trials payload`)
@@ -267,7 +253,7 @@ func (s *Server) compileJob(req JobRequest) (compiledJob, error) {
 		canonical = "job/v1|kind=scenario|" + req.Scenario.CanonicalKey()
 		run = s.runScenarioJob(req.Scenario)
 	default:
-		return compiledJob{}, fmt.Errorf("unknown job kind %q (want explore, delta, trials or scenario)", req.Kind)
+		return compiledJob{}, fmt.Errorf("unknown job kind %q (want explore, trials or scenario)", req.Kind)
 	}
 	key := HashKey("job", canonical)
 	// The job id is the bare digest (path- and filename-safe).
@@ -278,14 +264,23 @@ func (s *Server) compileJob(req JobRequest) (compiledJob, error) {
 // resolveJob rebuilds a runner from a persisted job request — the
 // jobs.Resolver the daemon passes to Resume on startup.
 func (s *Server) resolveJob(kind string, raw json.RawMessage) (jobs.RunFunc, error) {
-	var req JobRequest
+	var req struct {
+		JobRequest
+		// Delta is the payload of a job of the retired kind "delta",
+		// left unfinished by an older daemon. It shared the explore
+		// checkpoint schema, so it resumes as an explore of it.
+		Delta *core.Requirements `json:"delta"`
+	}
 	if err := json.Unmarshal(raw, &req); err != nil {
 		return nil, fmt.Errorf("persisted job request: %w", err)
 	}
 	if req.Kind != kind {
 		return nil, fmt.Errorf("persisted job kind %q does not match record %q", req.Kind, kind)
 	}
-	compiled, err := s.compileJob(req)
+	if kind == "delta" {
+		req.Kind, req.Explore = "explore", req.Delta
+	}
+	compiled, err := s.compileJob(req.JobRequest)
 	if err != nil {
 		return nil, err
 	}
@@ -440,113 +435,31 @@ func candidateFromJSON(cj CandidateJSON) core.Candidate {
 	}
 }
 
-// runExploreJob returns the checkpointed explore runner: the sweep is
-// partitioned into Seq ranges of JobCheckpointEvery points, with a
-// checkpoint persisted after each range.
+// runExploreJob returns the explore job runner. A fresh job is
+// served by the delta tier in one step when the daemon retains an
+// eligible state, as handleExplore does. Otherwise it sweeps: the Seq
+// range is planned into partitions of at most JobCheckpointEvery
+// points, run across the local executor (and the peers, when
+// sharding is on), and folded into the checkpoint at the contiguous
+// watermark as partitions complete. A daemon killed mid-run resumes
+// from NextSeq, and a dead peer loses only its own partition.
 func (s *Server) runExploreJob(req core.Requirements) jobs.RunFunc {
 	return func(ctx context.Context, h *jobs.Handle) ([]byte, error) {
-		// The sharded runner shares the checkpoint schema, so a job can
-		// resume across a restart that toggled sharding.
-		if s.shardingEnabled() {
-			return s.runShardedExploreJob(ctx, h, req)
-		}
 		if err := req.Validate(); err != nil {
 			return nil, err
 		}
-		st := exploreJobState{Total: core.SweepCount(req)}
-		if raw := h.Resumed(); len(raw) > 0 {
-			if err := json.Unmarshal(raw, &st); err != nil {
-				return nil, fmt.Errorf("explore checkpoint state: %w", err)
-			}
+		var resp *ExploreResponse
+		var err error
+		if len(h.Resumed()) > 0 {
+			resp, err = s.sweepExploreJob(ctx, h, req)
+		} else if e := s.deltaStates.lookup(req); e != nil {
+			resp, err = s.deltaExploreJob(ctx, h, e, req)
+		} else {
+			s.tierDeltaMisses.Inc()
+			resp, err = s.sweepExploreJob(ctx, h, req)
 		}
-		front := core.NewFrontier()
-		for _, cj := range st.Frontier {
-			front.Add(candidateFromJSON(cj))
-		}
-		// The restored members are mutually non-dominated, so re-adding
-		// them prunes nothing; discards from before the checkpoint live
-		// in st.Pruned and are added back on top of the live counter.
-		prunedBase := st.Pruned - front.Pruned()
-
-		chunk := s.cfg.JobCheckpointEvery
-		for st.NextSeq < st.Total {
-			to := st.NextSeq + chunk
-			if to > st.Total {
-				to = st.Total
-			}
-			workers, release, err := s.acquireWorkers(ctx, s.cfg.Workers)
-			if err != nil {
-				return nil, err
-			}
-			var chunkFinal core.ExploreStats
-			ch, err := core.ExploreContext(ctx, req,
-				core.WithWorkers(workers),
-				core.WithPruning(),
-				core.WithSeqRange(st.NextSeq, to),
-				core.WithProgress(func(cs core.ExploreStats) {
-					if cs.Done {
-						chunkFinal = cs
-					}
-				}))
-			if err != nil {
-				release()
-				return nil, err
-			}
-			for c := range ch {
-				front.Add(c)
-			}
-			release()
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			st.NextSeq = to
-			// Folded Total* counters: the checkpoint schema and the
-			// final response stay byte-identical to an unpruned run.
-			st.Enumerated += chunkFinal.TotalPoints()
-			st.Built += chunkFinal.TotalBuilt()
-			st.Infeasible += chunkFinal.TotalInfeasible()
-			st.Pruned = prunedBase + front.Pruned()
-			cands := front.Candidates()
-			st.Frontier = make([]CandidateJSON, len(cands))
-			for i, c := range cands {
-				st.Frontier[i] = candidateJSON(c)
-			}
-			h.SetProgress(jobs.Progress{
-				Done:       int64(st.NextSeq),
-				Total:      int64(st.Total),
-				Built:      st.Built,
-				Infeasible: st.Infeasible,
-				Pruned:     st.Pruned,
-				FrontSize:  front.Size(),
-			})
-			raw, err := json.Marshal(st)
-			if err != nil {
-				return nil, err
-			}
-			if err := h.Checkpoint(raw); err != nil {
-				return nil, err
-			}
-		}
-		if st.Built == 0 {
-			return nil, fmt.Errorf("no buildable configuration for %+v", req)
-		}
-		resp := &ExploreResponse{
-			SchemaVersion: SchemaVersion,
-			Request:       req,
-			Key:           HashKey("explore", req.CanonicalKey()),
-			Points:        st.Enumerated,
-			Built:         st.Built,
-			Infeasible:    st.Infeasible,
-			Pruned:        st.Pruned,
-			Frontier:      []CandidateJSON{},
-			Picks:         []RecommendationJSON{},
-		}
-		frontier := front.Candidates()
-		for _, c := range frontier {
-			resp.Frontier = append(resp.Frontier, candidateJSON(c))
-		}
-		for _, r := range core.Quantize(frontier) {
-			resp.Picks = append(resp.Picks, RecommendationJSON{Role: r.Role, CandidateJSON: candidateJSON(r.Candidate)})
+		if err != nil {
+			return nil, err
 		}
 		b, err := Encode(resp)
 		if err != nil {
@@ -554,56 +467,140 @@ func (s *Server) runExploreJob(req core.Requirements) jobs.RunFunc {
 		}
 		// Cross-fill the synchronous tiers: a later POST /v1/explore of
 		// the same requirements is a hit on the job's bytes.
-		s.fillCaches(HashKey("explore", req.CanonicalKey()), b)
+		s.fillCaches(resp.Key, b)
 		return b, nil
 	}
 }
 
-// runDeltaJob returns the delta-preferring explore runner. A fresh job
-// with an eligible retained state serves through DeltaExplore in one
-// step (no intermediate checkpoints — the delta path is orders of
-// magnitude shorter than the sweep it replaces); everything else —
-// resumed checkpoints, sharded configurations, no eligible state —
-// delegates to the checkpointed explore runner, whose schema the job
-// shares, so a restart can always resume it as a plain explore.
-func (s *Server) runDeltaJob(req core.Requirements) jobs.RunFunc {
-	exploreRun := s.runExploreJob(req)
-	return func(ctx context.Context, h *jobs.Handle) ([]byte, error) {
-		if len(h.Resumed()) > 0 || s.shardingEnabled() {
-			return exploreRun(ctx, h)
-		}
-		e := s.deltaStates.lookup(req)
-		if e == nil {
-			s.tierDeltaMisses.Inc()
-			return exploreRun(ctx, h)
-		}
-		workers, release, err := s.acquireWorkers(ctx, s.cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := s.serveExploreDelta(ctx, e, req, workers)
-		release()
-		if err != nil {
-			return nil, err
-		}
-		total := int64(core.SweepCount(req))
-		h.SetProgress(jobs.Progress{
-			Done:       total,
-			Total:      total,
-			Built:      resp.Built,
-			Infeasible: resp.Infeasible,
-			Pruned:     resp.Pruned,
-			FrontSize:  len(resp.Frontier),
-		})
-		b, err := Encode(resp)
-		if err != nil {
-			return nil, err
-		}
-		// Cross-fill the synchronous tiers under the explore key the
-		// response bytes belong to.
-		s.fillCaches(HashKey("explore", req.CanonicalKey()), b)
-		return b, nil
+// deltaExploreJob serves a fresh explore job from a retained delta
+// state, with no intermediate checkpoints: the delta path is far
+// shorter than the sweep it replaces.
+func (s *Server) deltaExploreJob(ctx context.Context, h *jobs.Handle, e *deltaEntry, req core.Requirements) (*ExploreResponse, error) {
+	workers, release, err := s.acquireWorkers(ctx, s.cfg.Workers)
+	if err != nil {
+		return nil, err
 	}
+	resp, err := s.serveExploreDelta(ctx, e, req, workers)
+	release()
+	if err != nil {
+		return nil, err
+	}
+	total := int64(core.SweepCount(req))
+	h.SetProgress(jobs.Progress{
+		Done:       total,
+		Total:      total,
+		Built:      resp.Built,
+		Infeasible: resp.Infeasible,
+		Pruned:     resp.Pruned,
+		FrontSize:  len(resp.Frontier),
+	})
+	return resp, nil
+}
+
+// sweepExploreJob is the checkpointed sweep of an explore job, resumed
+// from the job's last checkpoint when it has one.
+func (s *Server) sweepExploreJob(ctx context.Context, h *jobs.Handle, req core.Requirements) (*ExploreResponse, error) {
+	st := exploreJobState{Total: core.SweepCount(req)}
+	if raw := h.Resumed(); len(raw) > 0 {
+		if err := json.Unmarshal(raw, &st); err != nil {
+			return nil, fmt.Errorf("explore checkpoint state: %w", err)
+		}
+	}
+	front := core.NewFrontier()
+	for _, cj := range st.Frontier {
+		front.Add(candidateFromJSON(cj))
+	}
+
+	rctx, rcancel := context.WithCancel(ctx)
+	defer rcancel()
+	// Out-of-order partition results wait here until the contiguous
+	// prefix reaches them; only prefix-complete state is checkpointed,
+	// so NextSeq stays an exact resume point.
+	pending := map[int]shard.PartResult{}
+	var ckptErr error
+	onResult := func(p shard.Partition, r shard.Result) {
+		pending[p.From] = shard.PartResult{Partition: p, Result: r}
+		advanced := false
+		for {
+			pr, ok := pending[st.NextSeq]
+			if !ok {
+				break
+			}
+			delete(pending, st.NextSeq)
+			st.NextSeq = pr.To
+			st.Enumerated += pr.Enumerated
+			st.Built += pr.Built
+			st.Infeasible += pr.Infeasible
+			for _, c := range pr.Frontier {
+				front.Add(c)
+			}
+			advanced = true
+		}
+		if !advanced || ckptErr != nil {
+			return
+		}
+		st.Pruned = st.Built - st.Infeasible - int64(front.Size())
+		cands := front.Candidates()
+		st.Frontier = make([]CandidateJSON, len(cands))
+		for i, c := range cands {
+			st.Frontier[i] = candidateJSON(c)
+		}
+		h.SetProgress(jobs.Progress{
+			Done:       int64(st.NextSeq),
+			Total:      int64(st.Total),
+			Built:      st.Built,
+			Infeasible: st.Infeasible,
+			Pruned:     st.Pruned,
+			FrontSize:  front.Size(),
+		})
+		raw, err := json.Marshal(st)
+		if err == nil {
+			err = h.Checkpoint(raw)
+		}
+		if err != nil {
+			ckptErr = err
+			rcancel()
+		}
+	}
+	local := &localShardExec{req: req, acquire: func(ctx context.Context) (int, func(), error) {
+		return s.acquireWorkers(ctx, s.cfg.Workers)
+	}}
+	_, stats, err := shard.Run(rctx, s.shardExecutors(req, local), s.jobPlan(st.NextSeq, st.Total), shard.Options{
+		HedgeAfter: s.cfg.ShardHedgeAfter,
+		OnResult:   onResult,
+	})
+	if s.shardingEnabled() {
+		s.recordShardStats(stats)
+	}
+	if ckptErr != nil {
+		return nil, ckptErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	// A cancellation that lands after the last partition still stops
+	// the job: its checkpoint is on disk for the next life.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return exploreResponseFromMerged(req, shard.Result{
+		Enumerated: st.Enumerated,
+		Built:      st.Built,
+		Infeasible: st.Infeasible,
+		Frontier:   front.Candidates(),
+	})
+}
+
+// jobPlan partitions an explore job's remaining Seq range [from, to):
+// no partition exceeds JobCheckpointEvery points, and with sharding on
+// there are at least as many partitions as a synchronous fan-out uses.
+func (s *Server) jobPlan(from, to int) []shard.Partition {
+	every := s.cfg.JobCheckpointEvery
+	parts := (to - from + every - 1) / every
+	if s.shardingEnabled() {
+		parts = max(parts, s.shardPlanParts())
+	}
+	return shard.Plan(from, to, parts)
 }
 
 // trialsJobState is the campaign runner's checkpoint: the absolute

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -492,5 +494,74 @@ func TestWarmup(t *testing.T) {
 	status, _, hdr := post(t, ts.Client(), ts.URL+"/v1/explore", testReq)
 	if status != http.StatusOK || hdr.Get("X-Cache") != "hit" {
 		t.Errorf("first explore after warmup: status %d X-Cache %q, want 200 hit", status, hdr.Get("X-Cache"))
+	}
+}
+
+// TestResumeRetiredDeltaJob: a job directory holding an unfinished
+// job of the retired kind "delta" still resumes. The record, as an
+// older daemon persisted it mid-sweep, finishes as an explore of its
+// payload from its checkpointed watermark, with the cold sweep's bytes.
+func TestResumeRetiredDeltaJob(t *testing.T) {
+	ref := NewServer(Config{Workers: 2})
+	tsRef := httptest.NewServer(ref)
+	status, want, _ := post(t, tsRef.Client(), tsRef.URL+"/v1/explore", deltaTestReq)
+	tsRef.Close()
+	ref.Close()
+	if status != http.StatusOK {
+		t.Fatalf("reference explore: status %d: %s", status, want)
+	}
+
+	var req core.Requirements
+	if err := strictUnmarshal([]byte(deltaTestReq), &req); err != nil {
+		t.Fatal(err)
+	}
+	part, err := buildShard(context.Background(), ShardRequest{Explore: req, From: 0, To: 1000}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := json.Marshal(exploreJobState{
+		NextSeq:    1000,
+		Total:      core.SweepCount(req),
+		Enumerated: part.Enumerated,
+		Built:      part.Built,
+		Infeasible: part.Infeasible,
+		Pruned:     part.Built - part.Infeasible - int64(len(part.Frontier)),
+		Frontier:   part.Frontier,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := HashKey("job", "job/v1|kind=delta|"+req.CanonicalKey())
+	id := key[strings.IndexByte(key, ':')+1:]
+	record := `{"format_version":1,"id":"` + id + `","kind":"delta","canonical_key":"` + key + `",` +
+		`"status":"running","request":{"kind":"delta","delta":` + deltaTestReq + `},"state":` + string(state) +
+		`,"progress":{"done":1000,"total":2304,"checkpoints":1}}`
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, id+".json"), []byte(record), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := NewServer(Config{Workers: 2, JobDir: dir})
+	defer srv.Close()
+	if n, err := srv.ResumeJobs(); err != nil || n != 1 {
+		t.Fatalf("resume: %d jobs, err %v; want 1, nil", n, err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	st := waitJob(t, ts.Client(), ts.URL, id)
+	if st.State != "succeeded" || st.Kind != "delta" {
+		t.Fatalf("resumed job kind %q state %q (error %q), want delta succeeded", st.Kind, st.State, st.Error)
+	}
+	if st.Progress.Checkpoints < 2 {
+		t.Errorf("resumed job made %d checkpoints, want the record's plus its own", st.Progress.Checkpoints)
+	}
+	if status, got, _ := do(t, ts.Client(), "GET", ts.URL+st.ResultPath); status != http.StatusOK || got != want {
+		t.Errorf("resumed delta job result differs from the cold sweep (status %d)", status)
+	}
+
+	// The kind itself is gone from the submit API.
+	status, body, _ := post(t, ts.Client(), ts.URL+"/v1/jobs", `{"kind":"delta"}`)
+	if status != http.StatusBadRequest || !strings.Contains(body, "want explore, trials or scenario") {
+		t.Errorf("kind delta submit: status %d body %s, want 400 naming the kinds", status, body)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"edram/internal/core"
-	"edram/internal/jobs"
 	"edram/internal/shard"
 )
 
@@ -153,18 +152,31 @@ func shardResult(resp *ShardResponse) shard.Result {
 	return out
 }
 
-// localShardExec sweeps partitions in-process. It carries the worker
-// count the calling handler already admitted — executing a partition
-// must not re-enter the admission gate the coordinator is holding.
+// localShardExec sweeps partitions in-process. A handler's executor
+// carries the worker count the handler already admitted — executing a
+// partition must not re-enter the admission gate the coordinator is
+// holding. A job's executor sets acquire instead and draws its workers
+// from the pool per partition, so a long job holds no workers between
+// checkpoints.
 type localShardExec struct {
 	req     core.Requirements
 	workers int
+	acquire func(context.Context) (int, func(), error)
 }
 
 func (e *localShardExec) Kind() string { return shard.KindLocal }
 
 func (e *localShardExec) Execute(ctx context.Context, p shard.Partition) (shard.Result, error) {
-	resp, err := buildShard(ctx, ShardRequest{Explore: e.req, From: p.From, To: p.To}, e.workers)
+	workers := e.workers
+	if e.acquire != nil {
+		got, release, err := e.acquire(ctx)
+		if err != nil {
+			return shard.Result{}, err
+		}
+		defer release()
+		workers = got
+	}
+	resp, err := buildShard(ctx, ShardRequest{Explore: e.req, From: p.From, To: p.To}, workers)
 	if err != nil {
 		return shard.Result{}, err
 	}
@@ -239,9 +251,9 @@ func (s *Server) shardPlanParts() int {
 }
 
 // shardExecutors builds the executor set for one explore: the local
-// pool first (also the hedge target), then one lane per peer.
-func (s *Server) shardExecutors(req core.Requirements, workers int) []shard.Executor {
-	execs := []shard.Executor{&localShardExec{req: req, workers: workers}}
+// executor first (also the hedge target), then one lane per peer.
+func (s *Server) shardExecutors(req core.Requirements, local *localShardExec) []shard.Executor {
+	execs := []shard.Executor{local}
 	for _, peer := range s.cfg.Peers {
 		execs = append(execs, &remoteShardExec{client: s.shardClient, base: strings.TrimSuffix(peer, "/"), req: req})
 	}
@@ -263,7 +275,8 @@ func (s *Server) recordShardStats(st shard.Stats) {
 // response from the merged result.
 func (s *Server) buildExploreSharded(ctx context.Context, req core.Requirements, workers int) (*ExploreResponse, error) {
 	plan := shard.Plan(0, core.SweepCount(req), s.shardPlanParts())
-	out, stats, err := shard.Run(ctx, s.shardExecutors(req, workers), plan, shard.Options{
+	local := &localShardExec{req: req, workers: workers}
+	out, stats, err := shard.Run(ctx, s.shardExecutors(req, local), plan, shard.Options{
 		HedgeAfter: s.cfg.ShardHedgeAfter,
 	})
 	s.recordShardStats(stats)
@@ -275,147 +288,4 @@ func (s *Server) buildExploreSharded(ctx context.Context, req core.Requirements,
 	merged := shard.Merge(out)
 	s.shardMergeSeconds.Observe(time.Since(start).Seconds())
 	return exploreResponseFromMerged(req, merged)
-}
-
-// exploreResponseFromMerged rebuilds the canonical explore response
-// from a merged shard result. Pruned is recovered from the exact
-// identity Pruned = Built − Infeasible − len(Frontier): every built
-// candidate is infeasible, on the final front, or was discarded
-// exactly once — the same bookkeeping the undivided collector does
-// incrementally.
-func exploreResponseFromMerged(req core.Requirements, merged shard.Result) (*ExploreResponse, error) {
-	if merged.Built == 0 {
-		return nil, fmt.Errorf("no buildable configuration for %+v", req)
-	}
-	resp := &ExploreResponse{
-		SchemaVersion: SchemaVersion,
-		Request:       req,
-		Key:           HashKey("explore", req.CanonicalKey()),
-		Points:        merged.Enumerated,
-		Built:         merged.Built,
-		Infeasible:    merged.Infeasible,
-		Pruned:        merged.Built - merged.Infeasible - int64(len(merged.Frontier)),
-		Frontier:      []CandidateJSON{},
-		Picks:         []RecommendationJSON{},
-	}
-	for _, c := range merged.Frontier {
-		resp.Frontier = append(resp.Frontier, candidateJSON(c))
-	}
-	for _, r := range core.Quantize(merged.Frontier) {
-		resp.Picks = append(resp.Picks, RecommendationJSON{Role: r.Role, CandidateJSON: candidateJSON(r.Candidate)})
-	}
-	return resp, nil
-}
-
-// runShardedExploreJob is the fan-out form of the checkpointed explore
-// job. Partitions checkpoint as they complete: results are folded into
-// the exploreJobState at the contiguous-prefix watermark, so a daemon
-// killed mid-run resumes from NextSeq and a dead peer loses only its
-// own partition (requeued to the survivors). The checkpoint schema is
-// shared with the unsharded runner — a restart may flip between the
-// two paths and still resume exactly.
-func (s *Server) runShardedExploreJob(ctx context.Context, h *jobs.Handle, req core.Requirements) ([]byte, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	st := exploreJobState{Total: core.SweepCount(req)}
-	if raw := h.Resumed(); len(raw) > 0 {
-		if err := json.Unmarshal(raw, &st); err != nil {
-			return nil, fmt.Errorf("explore checkpoint state: %w", err)
-		}
-	}
-	front := core.NewFrontier()
-	for _, cj := range st.Frontier {
-		front.Add(candidateFromJSON(cj))
-	}
-
-	if st.NextSeq < st.Total {
-		workers, release, err := s.acquireWorkers(ctx, s.cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		rctx, rcancel := context.WithCancel(ctx)
-		defer rcancel()
-		// Out-of-order partition results wait here until the contiguous
-		// prefix reaches them; only prefix-complete state is
-		// checkpointed, so NextSeq stays an exact resume point.
-		pending := map[int]shard.PartResult{}
-		var ckptErr error
-		onResult := func(p shard.Partition, r shard.Result) {
-			pending[p.From] = shard.PartResult{Partition: p, Result: r}
-			advanced := false
-			for {
-				pr, ok := pending[st.NextSeq]
-				if !ok {
-					break
-				}
-				delete(pending, st.NextSeq)
-				st.NextSeq = pr.To
-				st.Enumerated += pr.Enumerated
-				st.Built += pr.Built
-				st.Infeasible += pr.Infeasible
-				for _, c := range pr.Frontier {
-					front.Add(c)
-				}
-				advanced = true
-			}
-			if !advanced || ckptErr != nil {
-				return
-			}
-			st.Pruned = st.Built - st.Infeasible - int64(front.Size())
-			cands := front.Candidates()
-			st.Frontier = make([]CandidateJSON, len(cands))
-			for i, c := range cands {
-				st.Frontier[i] = candidateJSON(c)
-			}
-			h.SetProgress(jobs.Progress{
-				Done:       int64(st.NextSeq),
-				Total:      int64(st.Total),
-				Built:      st.Built,
-				Infeasible: st.Infeasible,
-				Pruned:     st.Pruned,
-				FrontSize:  front.Size(),
-			})
-			raw, err := json.Marshal(st)
-			if err == nil {
-				err = h.Checkpoint(raw)
-			}
-			if err != nil {
-				ckptErr = err
-				rcancel()
-			}
-		}
-		plan := shard.Plan(st.NextSeq, st.Total, s.shardPlanParts())
-		_, stats, err := shard.Run(rctx, s.shardExecutors(req, workers), plan, shard.Options{
-			HedgeAfter: s.cfg.ShardHedgeAfter,
-			OnResult:   onResult,
-		})
-		release()
-		s.recordShardStats(stats)
-		if ckptErr != nil {
-			return nil, ckptErr
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	merged := shard.Result{
-		Enumerated: st.Enumerated,
-		Built:      st.Built,
-		Infeasible: st.Infeasible,
-		Frontier:   front.Candidates(),
-	}
-	resp, err := exploreResponseFromMerged(req, merged)
-	if err != nil {
-		return nil, err
-	}
-	b, err := Encode(resp)
-	if err != nil {
-		return nil, err
-	}
-	// Cross-fill the synchronous tiers: a later POST /v1/explore of the
-	// same requirements hits the job's bytes.
-	s.fillCaches(HashKey("explore", req.CanonicalKey()), b)
-	return b, nil
 }

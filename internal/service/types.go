@@ -13,6 +13,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -23,6 +24,7 @@ import (
 	"edram/internal/mapping"
 	"edram/internal/scenario"
 	"edram/internal/sched"
+	"edram/internal/shard"
 )
 
 // SchemaVersion is the wire-schema version every response carries in
@@ -290,33 +292,7 @@ func BuildExplore(ctx context.Context, req core.Requirements, workers int, progr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if final.TotalBuilt() == 0 {
-		return nil, fmt.Errorf("no buildable configuration for %+v", req)
-	}
-	resp := &ExploreResponse{
-		SchemaVersion: SchemaVersion,
-		Request:       req,
-		Key:           HashKey("explore", req.CanonicalKey()),
-		Points:        final.TotalPoints(),
-		Built:         final.TotalBuilt(),
-		Infeasible:    final.TotalInfeasible(),
-		// Pruned is deterministic even though arrival order is not:
-		// every feasible candidate either survives in the front or was
-		// discarded exactly once. Analytic skips never touch it — a
-		// skipped candidate is infeasible and would never have entered
-		// the front.
-		Pruned:   final.Pruned,
-		Frontier: []CandidateJSON{},
-		Picks:    []RecommendationJSON{},
-	}
-	frontier := front.Candidates()
-	for _, c := range frontier {
-		resp.Frontier = append(resp.Frontier, candidateJSON(c))
-	}
-	for _, r := range core.Quantize(frontier) {
-		resp.Picks = append(resp.Picks, RecommendationJSON{Role: r.Role, CandidateJSON: candidateJSON(r.Candidate)})
-	}
-	return resp, nil
+	return exploreResponseFromMerged(req, foldedResult(final, front.Candidates()))
 }
 
 // BuildExploreDelta assembles the /v1/explore response for req from a
@@ -330,50 +306,99 @@ func BuildExploreDelta(ctx context.Context, st *core.DeltaState, req core.Requir
 	if err != nil {
 		return nil, nil, err
 	}
-	if res.Stats.TotalBuilt() == 0 {
-		return nil, nil, fmt.Errorf("no buildable configuration for %+v", req)
+	resp, err := exploreResponseFromMerged(req, foldedResult(res.Stats, res.Frontier))
+	if err != nil {
+		return nil, nil, err
+	}
+	return resp, res, nil
+}
+
+// foldedResult is a whole sweep in merge form: its folded Total*
+// counters (analytic skips count as built and infeasible) plus its
+// frontier.
+func foldedResult(st core.ExploreStats, frontier []core.Candidate) shard.Result {
+	return shard.Result{
+		Enumerated: st.TotalPoints(),
+		Built:      st.TotalBuilt(),
+		Infeasible: st.TotalInfeasible(),
+		Frontier:   frontier,
+	}
+}
+
+// errNoBuildable marks an explore in which no design point could be
+// built at all.
+var errNoBuildable = errors.New("no buildable configuration")
+
+// exploreResponseFromMerged is the one builder of explore responses:
+// every path — the undivided sweep, the delta tier, the sharded
+// fan-out and the checkpointed job — folds its work into a merged
+// result and assembles the wire form here. Pruned is recovered from
+// the exact identity Pruned = Built − Infeasible − len(Frontier):
+// every built candidate is infeasible, on the final front, or was
+// discarded exactly once, whatever the arrival order or partitioning.
+func exploreResponseFromMerged(req core.Requirements, merged shard.Result) (*ExploreResponse, error) {
+	if merged.Built == 0 {
+		return nil, fmt.Errorf("%w for %+v", errNoBuildable, req)
 	}
 	resp := &ExploreResponse{
 		SchemaVersion: SchemaVersion,
 		Request:       req,
 		Key:           HashKey("explore", req.CanonicalKey()),
-		Points:        res.Stats.TotalPoints(),
-		Built:         res.Stats.TotalBuilt(),
-		Infeasible:    res.Stats.TotalInfeasible(),
-		Pruned:        res.Stats.Pruned,
-		Frontier:      []CandidateJSON{},
+		Points:        merged.Enumerated,
+		Built:         merged.Built,
+		Infeasible:    merged.Infeasible,
+		Pruned:        merged.Built - merged.Infeasible - int64(len(merged.Frontier)),
+		Frontier:      make([]CandidateJSON, 0, len(merged.Frontier)),
 		Picks:         []RecommendationJSON{},
 	}
-	for _, c := range res.Frontier {
+	for _, c := range merged.Frontier {
 		resp.Frontier = append(resp.Frontier, candidateJSON(c))
 	}
-	for _, r := range core.Quantize(res.Frontier) {
-		resp.Picks = append(resp.Picks, RecommendationJSON{Role: r.Role, CandidateJSON: candidateJSON(r.Candidate)})
+	for _, r := range core.Quantize(merged.Frontier) {
+		resp.Picks = append(resp.Picks, recommendationJSON(r))
 	}
-	return resp, res, nil
+	return resp, nil
 }
 
-// BuildRecommend runs the exploration and returns only the quantized
-// picks — the /v1/recommend response. Unlike explore, an empty feasible
-// set is an error (mirroring core.RecommendContext).
+func recommendationJSON(r core.Recommendation) RecommendationJSON {
+	return RecommendationJSON{Role: r.Role, CandidateJSON: candidateJSON(r.Candidate)}
+}
+
+// BuildRecommend returns the /v1/recommend response: the quantized
+// picks of req's explore answer. Unlike explore, an empty feasible set
+// is an error (mirroring core.RecommendContext).
 func BuildRecommend(ctx context.Context, req core.Requirements, workers int) (*RecommendResponse, error) {
-	if err := req.Validate(); err != nil {
+	ex, err := BuildExplore(ctx, req, workers, nil)
+	if err != nil && !errors.Is(err, errNoBuildable) {
 		return nil, err
 	}
-	recs, err := core.RecommendContext(ctx, req, core.WithWorkers(workers))
-	if err != nil {
-		return nil, err
+	var picks []RecommendationJSON
+	if ex != nil {
+		picks = ex.Picks
 	}
-	resp := &RecommendResponse{
+	return recommendResponse(ctx, req, picks, workers)
+}
+
+// recommendResponse wraps the picks of req's explore answer as the
+// /v1/recommend response. An answer with no picks — nothing feasible
+// or nothing buildable — goes to core.RecommendContext, whose
+// unpruned sweep words the error with the closest misses.
+func recommendResponse(ctx context.Context, req core.Requirements, picks []RecommendationJSON, workers int) (*RecommendResponse, error) {
+	if len(picks) == 0 {
+		recs, err := core.RecommendContext(ctx, req, core.WithWorkers(workers))
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range recs {
+			picks = append(picks, recommendationJSON(r))
+		}
+	}
+	return &RecommendResponse{
 		SchemaVersion: SchemaVersion,
 		Request:       req,
 		Key:           HashKey("recommend", req.CanonicalKey()),
-		Picks:         []RecommendationJSON{},
-	}
-	for _, r := range recs {
-		resp.Picks = append(resp.Picks, RecommendationJSON{Role: r.Role, CandidateJSON: candidateJSON(r.Candidate)})
-	}
-	return resp, nil
+		Picks:         picks,
+	}, nil
 }
 
 // parsePolicy maps a policy name to its sched.Policy (the scenario
