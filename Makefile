@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-audit lint-sarif lint-baseline race jobs-stress bench bench-compare fuzz fuzz-smoke serve-smoke load-smoke shard-smoke scenarios check
+.PHONY: build test vet lint lint-audit lint-sarif lint-baseline race jobs-stress bench bench-compare fuzz fuzz-smoke serve-smoke load-smoke shard-smoke perfbench-check scenarios check
 
 build:
 	$(GO) build ./...
@@ -112,14 +112,22 @@ load-smoke:
 shard-smoke:
 	$(GO) run ./cmd/edramd -shard-smoke
 
+# perfbench-check vets and tests the benchmark harness (perfbench/, its
+# own Go module with a replace of this one): nothing else builds it, so
+# without this a change to an internal API it calls would only surface
+# when the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test .
+
 # check is the tier-1 verify path: build, vet, lint (diff-gated) plus
 # the suppression audit, then race-checked tests, so the exploration engine's, experiment runner's and
 # reliability trial pool's concurrency is exercised under the race
 # detector on every PR, the repeated job-checkpoint stress, plus a
 # replay of the fuzz seed corpus, the
 # daemon's end-to-end smoke, the load/SLO smoke, the 3-process sharded
-# explore smoke and the scenario-corpus gate.
-check: build vet lint lint-audit race jobs-stress fuzz-smoke serve-smoke load-smoke shard-smoke scenarios
+# explore smoke, the benchmark harness's vet and tests and the
+# scenario-corpus gate.
+check: build vet lint lint-audit race jobs-stress fuzz-smoke serve-smoke load-smoke shard-smoke perfbench-check scenarios
 
 # scenarios validates the declarative-scenario corpus: every *.json
 # under examples/scenarios/ must load and compile through the shared

@@ -353,7 +353,6 @@ func BenchmarkServiceExplore(b *testing.B) {
 				goroutines := clients * runtime.GOMAXPROCS(0)
 				srv := httptest.NewServer(edrampkg.NewService(edrampkg.ServiceConfig{
 					CacheEntries:          1 << 16,
-					CacheTTL:              -1, // entries never expire mid-benchmark
 					DefaultEndpointBudget: goroutines,
 					MaxQueueDepth:         goroutines,
 				}))

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	edramd [-addr :8080] [-workers N] [-cache-entries N] [-cache-ttl 15m]
+//	edramd [-addr :8080] [-workers N] [-cache-entries N]
 //	       [-timeout 60s] [-drain 10s] [-queue-depth 32]
 //	       [-jobs-dir DIR] [-max-jobs 64] [-max-active-jobs 2]
 //	       [-async-threshold N] [-warmup CAP:BW:HIT,...]
@@ -22,10 +22,9 @@
 // -peers and -shard enable sharded exploration: sweeps are
 // partitioned across the local worker pool and the listed peer
 // daemons, with dead-peer partitions retried locally — responses stay
-// byte-identical to the single-process sweep. -cache-dir enables the
-// persistent disk cache tier: responses survive restarts in an
-// append-only segment log and /readyz stays 503 until the replay
-// completes.
+// byte-identical to the single-process sweep. -cache-dir logs the
+// result cache to disk: responses survive restarts in an append-only
+// segment log and /readyz stays 503 until the replay completes.
 //
 // -smoke runs the self-test used by `make serve-smoke`: bind a random
 // loopback port, exercise /healthz, /readyz, /v1/recommend, the job
@@ -63,8 +62,7 @@ func fail(format string, args ...any) {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "evaluation worker pool size (0 = GOMAXPROCS)")
-	cacheEntries := flag.Int("cache-entries", 0, "result cache capacity in entries (0 = default 256)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "result cache entry lifetime (0 = default 15m, negative = no expiry)")
+	cacheEntries := flag.Int("cache-entries", 0, "result cache capacity in entries, under a 256 MiB byte budget (0 = default 4096)")
 	timeout := flag.Duration("timeout", 0, "per-request deadline (0 = default 60s)")
 	drain := flag.Duration("drain", 0, "graceful shutdown drain budget (0 = default 10s)")
 	queueDepth := flag.Int("queue-depth", 0, "admission queue bound (0 = default 32, negative = unbounded)")
@@ -76,7 +74,7 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated base URLs of peer edramd daemons to shard explores across")
 	shardParts := flag.Int("shard", 0, "shard explores into this many partitions (0 = auto when -peers is set, off otherwise)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "hedge straggling shard partitions locally after this long (0 = default)")
-	cacheDir := flag.String("cache-dir", "", "persistent disk cache directory (empty = memory-only caching)")
+	cacheDir := flag.String("cache-dir", "", "directory the result cache is logged to for warm restarts (empty = memory-only caching)")
 	smoke := flag.Bool("smoke", false, "run the serve-smoke self-test and exit")
 	shardSmoke := flag.Bool("shard-smoke", false, "run the 3-process sharded-explore self-test and exit")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this extra loopback address (e.g. 127.0.0.1:6060); off by default and never exposed on the serving mux")
@@ -84,7 +82,6 @@ func main() {
 
 	cfg := service.Config{
 		CacheEntries:        *cacheEntries,
-		CacheTTL:            *cacheTTL,
 		Workers:             *workers,
 		RequestTimeout:      *timeout,
 		DrainTimeout:        *drain,

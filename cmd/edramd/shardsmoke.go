@@ -158,7 +158,7 @@ func runShardSmoke() error {
 	}
 
 	// The 3-process topology: two real peer daemons + a coordinator
-	// sharding across them, with the disk tier and job API on.
+	// sharding across them, with the disk-logged cache and job API on.
 	peer1, err := startPeer(client)
 	if err != nil {
 		return err
@@ -221,7 +221,7 @@ func runShardSmoke() error {
 	}
 
 	// 4. The scrape tells the same story: sharded explores ran, the
-	// dead peer was noticed, both cache tiers are exported.
+	// dead peer was noticed, the disk-logged result cache is exported.
 	metricsBody, err := fetch(client, "GET", base+"/metrics", "")
 	if err != nil {
 		return fmt.Errorf("metrics: %v", err)
@@ -230,7 +230,7 @@ func runShardSmoke() error {
 		"edramd_shard_explores_total",
 		`edramd_shard_partitions_total{target="remote"}`,
 		"edramd_shard_peer_failures_total",
-		`edramd_cache_tier_hits_total{tier="disk"}`,
+		"edramd_disk_cache_entries",
 		`edramd_cache_tier_misses_total{tier="memory"}`,
 	} {
 		if !strings.Contains(metricsBody, series) {

@@ -13,12 +13,12 @@
 // With no -addr, edramload self-hosts an in-process edramd configured
 // with a deliberately tiny /v1/simulate concurrency budget (so the
 // schedule's overload mix actually sheds), local sharding enabled (so
-// the sharded mix sweeps the partitioned explore path) and a disk
-// cache tier pre-warmed with one of the sharded mix's bodies (so the
-// run deterministically serves at least one disk hit) — this is the
-// deterministic profile `make load-smoke` and CI run. The exit status
-// is the verdict: 0 when every SLO held and no unexpected errors
-// occurred, 1 on any breach.
+// the sharded mix sweeps the partitioned explore path) and a
+// disk-logged result cache pre-warmed with one of the sharded mix's
+// bodies (so the run deterministically serves at least one warm-start
+// hit) — this is the deterministic profile `make load-smoke` and CI
+// run. The exit status is the verdict: 0 when every SLO held and no
+// unexpected errors occurred, 1 on any breach.
 //
 // The schedule is pure and replayable (same seed, same byte-exact
 // request sequence); only the measured latencies vary run to run.
@@ -125,9 +125,9 @@ func main() {
 // /v1/simulate at a time (the overload mix's shed target, everything
 // else generously budgeted — the global queue bound is disabled so
 // only the deliberate target sheds), two local shard partitions per
-// explore, a disk cache tier over a temp directory that prewarm has
+// explore, a result cache logged to a temp directory that prewarm has
 // already populated — the main run's first draw of that body is a
-// warm-start disk hit, never a recomputation — and a warmed-up delta
+// warm-start hit, never a recomputation — and a warmed-up delta
 // state for the delta mix's requirement family, so its constraint
 // tweaks are served as hit-delta.
 func selfHost() (base string, shutdown func() error, err error) {
@@ -188,7 +188,7 @@ func selfHost() (base string, shutdown func() error, err error) {
 // (loadgen cycles max_power_mw over 400.5..700.5; the first draw is
 // 500.5). Computing it into the cache directory ahead of the run
 // makes the main server's first sharded draw a deterministic
-// disk-tier hit.
+// warm-start hit.
 const prewarmBody = `{"capacity_mbit":16,"bandwidth_gbps":1.0,"hit_rate":0.5,"max_power_mw":500.5}`
 
 // prewarm computes prewarmBody into dir's disk cache via a throwaway

@@ -1,15 +1,16 @@
-// Package diskcache is the persistent canonical-key cache tier behind
-// the service layer's in-memory LRU: an append-only segment log of
-// (key, response-bytes) records with CRC framing, compacted atomically
-// via tmp+rename, bounded by a size/entry budget, snapshotted on
-// graceful drain and replayed on boot so a restarted replica serves
+// Package diskcache is the service layer's canonical-key result cache:
+// an in-memory LRU index of (key, response-bytes) entries bounded by a
+// size/entry budget, optionally shadowed by an append-only segment log
+// with CRC framing, compacted atomically via tmp+rename, snapshotted
+// on graceful drain and replayed on boot so a restarted replica serves
 // its hot keys byte-identical to the original miss without
-// recomputation.
+// recomputation. Open("") gives the same cache with no log.
 //
 // Durability model: the live working set (index and values) lives in
-// memory; the log is its crash-safe shadow. Appends are handed to a
-// single writer goroutine over a bounded queue, so the serving path
-// never blocks on disk and no file I/O ever runs under the index lock.
+// memory; the log, when there is one, is its crash-safe shadow.
+// Appends are handed to a single writer goroutine over a bounded
+// queue, so the serving path never blocks on disk and no file I/O ever
+// runs under the index lock.
 // A torn or corrupt record — a crash mid-append — is detected by its
 // CRC at replay and the damaged suffix is dropped; everything before
 // it replays exactly. A compaction killed mid-write leaves only a
@@ -116,10 +117,10 @@ type entry struct {
 	val []byte
 }
 
-// Cache is the disk-backed tier. Construct with Open; Close snapshots
-// the live set back to a compact segment.
+// Cache is the result cache. Construct with Open; for a disk-backed
+// cache, Close snapshots the live set back to a compact segment.
 type Cache struct {
-	dir string
+	dir string // "" = memory-only: no segment, no writer
 	opt Options
 
 	// mu guards the index only — never held across file I/O (the locks
@@ -131,7 +132,7 @@ type Cache struct {
 	closed    bool
 
 	// The segment file is owned by the writer goroutine while it runs,
-	// and by Open/Close outside that window.
+	// and by Open/Close outside that window. All nil when memory-only.
 	f        *os.File
 	logBytes int64
 
@@ -148,11 +149,16 @@ type Cache struct {
 }
 
 // Open loads (or creates) the segment in dir, replays it into memory,
-// truncates any damaged suffix, and starts the background writer.
+// truncates any damaged suffix, and starts the background writer. An
+// empty dir opens a memory-only cache: no file and no writer, and
+// Close and Compact do nothing.
 func Open(dir string, opt Options) (*Cache, error) {
 	opt = opt.withDefaults()
 	if opt.Generation == "" {
 		return nil, errors.New("diskcache: Options.Generation is required")
+	}
+	if dir == "" {
+		return &Cache{opt: opt, order: list.New(), entries: map[string]*list.Element{}}, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskcache: %w", err)
@@ -254,19 +260,23 @@ func (c *Cache) applyReplayed(key string, val []byte) {
 }
 
 // enforceBudget evicts least-recently-used entries until the size and
-// entry budgets hold. Callers hold mu (or run single-threaded at Open).
-func (c *Cache) enforceBudget() {
+// entry budgets hold, and returns how many it evicted. Callers hold mu
+// (or run single-threaded at Open).
+func (c *Cache) enforceBudget() int {
+	n := 0
 	for len(c.entries) > c.opt.MaxEntries || (c.liveBytes > c.opt.MaxBytes && len(c.entries) > 1) {
 		oldest := c.order.Back()
 		if oldest == nil {
-			return
+			break
 		}
 		e := oldest.Value.(*entry)
 		c.order.Remove(oldest)
 		delete(c.entries, e.key)
 		c.liveBytes -= int64(len(e.key) + len(e.val))
-		c.evictions.Add(1)
+		n++
 	}
+	c.evictions.Add(int64(n))
+	return n
 }
 
 // Get returns the cached bytes for key, promoting the entry to
@@ -286,27 +296,31 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return val, true
 }
 
-// Put stores val under key and queues the append to the segment log.
-// The entry serves from memory immediately; durability follows when
-// the writer drains the queue (or at the Close snapshot).
-func (c *Cache) Put(key string, val []byte) {
+// Put stores val under key, queues the append to the segment log, and
+// returns the number of entries evicted to stay within the budget. The
+// entry serves from memory immediately; durability follows when the
+// writer drains the queue (or at the Close snapshot).
+func (c *Cache) Put(key string, val []byte) int {
 	if key == "" || len(key) >= maxKeyLen || int64(len(val)) >= maxValLen {
-		return
+		return 0
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return
+		return 0
 	}
 	c.applyReplayed(key, val)
-	c.enforceBudget()
+	evicted := c.enforceBudget()
 	c.mu.Unlock()
 	c.puts.Add(1)
-	select {
-	case c.writeq <- entry{key: key, val: val}:
-	default:
-		c.dropWrites.Add(1)
+	if c.writeq != nil {
+		select {
+		case c.writeq <- entry{key: key, val: val}:
+		default:
+			c.dropWrites.Add(1)
+		}
 	}
+	return evicted
 }
 
 // Len returns the live entry count.
@@ -339,8 +353,11 @@ func (c *Cache) Stats() Stats {
 
 // Compact rewrites the segment to exactly the live set (tmp + atomic
 // rename). The rewrite runs on the writer goroutine, serialized with
-// appends.
+// appends. It does nothing on a memory-only cache.
 func (c *Cache) Compact() error {
+	if c.dir == "" {
+		return nil
+	}
 	ch := make(chan error, 1)
 	select {
 	case c.compactq <- ch:
@@ -351,8 +368,12 @@ func (c *Cache) Compact() error {
 }
 
 // Close drains pending appends, snapshots the live set into a compact
-// segment (the graceful-drain snapshot), and releases the file.
+// segment (the graceful-drain snapshot), and releases the file. It
+// does nothing on a memory-only cache, which keeps serving.
 func (c *Cache) Close() error {
+	if c.dir == "" {
+		return nil
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

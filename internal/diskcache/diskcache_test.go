@@ -194,7 +194,9 @@ func TestBudgetEviction(t *testing.T) {
 	c.Put("a", []byte("1"))
 	c.Put("b", []byte("2"))
 	c.Get("a") // promote a over b
-	c.Put("c", []byte("3"))
+	if n := c.Put("c", []byte("3")); n != 1 {
+		t.Fatalf("Put past the entry budget evicted %d, want 1", n)
+	}
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("LRU entry b survived past the entry budget")
 	}
@@ -209,6 +211,51 @@ func TestBudgetEviction(t *testing.T) {
 	defer c2.Close()
 	if n := c2.Len(); n != 1 {
 		t.Fatalf("Len after tightened restart = %d, want 1", n)
+	}
+}
+
+// TestMemoryOnly pins Open(""): the same LRU under both budgets, with
+// no segment file and no writer, and Close and Compact doing nothing.
+func TestMemoryOnly(t *testing.T) {
+	c := open(t, "", Options{MaxEntries: 3, MaxBytes: 8})
+	if n := c.Put("a", []byte("1")); n != 0 {
+		t.Fatalf("Put into an empty cache evicted %d", n)
+	}
+	c.Put("b", []byte("2"))
+	c.Put("c", []byte("3"))
+	if n := c.Put("d", []byte("4")); n != 1 {
+		t.Fatalf("Put past the entry budget evicted %d, want 1", n)
+	}
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("LRU entry a survived past the entry budget")
+	}
+	// Live bytes count key plus value: three entries hold 6 bytes, and
+	// a 5-byte newcomer breaks the 8-byte budget until the two oldest go.
+	if n := c.Put("e", []byte("5555")); n != 2 {
+		t.Fatalf("Put past the byte budget evicted %d, want 2", n)
+	}
+	if st := c.Stats(); st.Entries != 2 || st.LiveBytes != 7 || st.Evictions != 3 {
+		t.Fatalf("stats = %+v, want 2 entries / 7 live bytes / 3 evictions", st)
+	}
+	if err := c.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	// Close does nothing: the cache keeps serving and storing.
+	if v, ok := c.Get("e"); !ok || string(v) != "5555" {
+		t.Fatalf("Get after Close = %q, %t; want 5555", v, ok)
+	}
+	c.Put("f", []byte("6"))
+	if _, ok := c.Get("f"); !ok {
+		t.Fatal("Put after Close was not stored")
+	}
+	// An empty dir would put the segment in the working directory.
+	for _, name := range []string{logName, tmpName} {
+		if _, err := os.Stat(name); !os.IsNotExist(err) {
+			t.Fatalf("memory-only cache left %s in the working directory (stat err %v)", name, err)
+		}
 	}
 }
 

@@ -23,8 +23,8 @@
 //     503s do not count against the error budget;
 //   - sharded: explores cycling a small body set — when the driver
 //     runs the daemon with sharding enabled these sweep the
-//     partitioned fan-out path, and the repeats land in the cache
-//     tiers (first draw a miss, the rest memory or disk hits);
+//     partitioned fan-out path, and the repeats land in the result
+//     cache (first draw a miss, the rest hits);
 //   - delta: explores rotating one constraint (the area cap) over an
 //     otherwise fixed requirement structure — the first draw is the
 //     cold sweep that records the daemon's retained state, each later

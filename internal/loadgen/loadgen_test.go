@@ -178,13 +178,13 @@ func TestParseTierStats(t *testing.T) {
 		`edramd_cache_tier_misses_total{tier="memory"} 4`,
 		`edramd_requests_total{endpoint="/v1/explore"} 12`,
 		`edramd_cache_tier_hits_total{tier="memory"} 12`,
-		`edramd_cache_tier_hits_total{tier="disk"} 1`,
-		`edramd_cache_tier_misses_total{tier="disk"} 3`,
+		`edramd_cache_tier_hits_total{tier="delta"} 1`,
+		`edramd_cache_tier_misses_total{tier="delta"} 3`,
 		``,
 	}, "\n")
 	got := ParseTierStats(text)
 	want := []TierStat{
-		{Tier: "disk", Hits: 1, Misses: 3, HitRatio: 0.25},
+		{Tier: "delta", Hits: 1, Misses: 3, HitRatio: 0.25},
 		{Tier: "memory", Hits: 12, Misses: 4, HitRatio: 0.75},
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -196,7 +196,7 @@ func TestParseTierStats(t *testing.T) {
 
 	r := Report{Tiers: want}
 	out := r.Format()
-	if !strings.Contains(out, "cache tier disk") || !strings.Contains(out, "hit-ratio 0.750") {
+	if !strings.Contains(out, "cache tier delta") || !strings.Contains(out, "hit-ratio 0.750") {
 		t.Errorf("Format missing tier lines:\n%s", out)
 	}
 }

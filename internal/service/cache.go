@@ -1,9 +1,8 @@
-// The coalescing result cache: encoded responses keyed by the
-// canonical-key hash of the request (see Requirements.CanonicalKey /
-// Spec.CanonicalKey for the normalization rules), bounded by an LRU
-// entry cap and an optional TTL. Values are the exact bytes served on
-// the original miss, so a hit is byte-identical to the computation it
-// replays — the property the determinism tests pin down.
+// ResultCache, an LRU+TTL byte cache of encoded responses keyed by the
+// canonical-key hash of the request. The daemon no longer builds one:
+// its result cache is a diskcache.Cache (see Server.cache). The type
+// stays exported because perfbench/trace.go builds one to replay the
+// memory tier of earlier daemons.
 
 package service
 
@@ -19,7 +18,8 @@ type cacheEntry struct {
 	stored time.Time
 }
 
-// ResultCache is a thread-safe LRU+TTL byte cache.
+// ResultCache is a thread-safe LRU+TTL byte cache, kept for
+// perfbench's traced replay; the daemon does not use it.
 type ResultCache struct {
 	mu      sync.Mutex
 	max     int

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -10,10 +12,10 @@ import (
 	"edram/internal/diskcache"
 )
 
-// TestDiskWarmStartServesHitWithoutRecompute pins the tentpole
-// acceptance criterion: a replica warm-started from the cache
-// directory serves the original miss's exact bytes as a disk hit, and
-// never enters the compute path to do it.
+// TestDiskWarmStartServesHitWithoutRecompute pins the warm start: a
+// replica restarted on the cache directory serves the original miss's
+// exact bytes as a plain hit, and never enters the compute path to do
+// it.
 func TestDiskWarmStartServesHitWithoutRecompute(t *testing.T) {
 	dir := t.TempDir()
 
@@ -46,8 +48,8 @@ func TestDiskWarmStartServesHitWithoutRecompute(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("warm explore: status %d: %s", status, got)
 	}
-	if hdr.Get("X-Cache") != "hit-disk" {
-		t.Errorf("warm explore: X-Cache %q, want hit-disk", hdr.Get("X-Cache"))
+	if hdr.Get("X-Cache") != "hit" {
+		t.Errorf("warm explore: X-Cache %q, want hit", hdr.Get("X-Cache"))
 	}
 	if got != want {
 		t.Errorf("warm-start bytes differ from original miss:\n got %d bytes %.120s\nwant %d bytes %.120s",
@@ -56,18 +58,11 @@ func TestDiskWarmStartServesHitWithoutRecompute(t *testing.T) {
 	if n := computes.Load(); n != 0 {
 		t.Errorf("warm-start hit ran the compute path %d times, want 0", n)
 	}
-
-	// The disk hit promoted the entry into memory: the next lookup is
-	// a plain memory hit.
-	status, again, hdr := post(t, ts2.Client(), ts2.URL+"/v1/explore", testReq)
-	if status != http.StatusOK || hdr.Get("X-Cache") != "hit" || again != want {
-		t.Errorf("promoted lookup: status %d, X-Cache %q, identical=%t",
-			status, hdr.Get("X-Cache"), again == want)
-	}
 }
 
-// TestCacheTierMetrics checks the closed-set tier series: both tiers
-// export hits and misses under literal label values.
+// TestCacheTierMetrics checks the closed-set tier series: the result
+// cache exports hits and misses as tier "memory" whether or not it is
+// logged to disk, and the disk-log gauges appear only with a CacheDir.
 func TestCacheTierMetrics(t *testing.T) {
 	dir := t.TempDir()
 	srv := NewServer(Config{Workers: 2, CacheDir: dir})
@@ -76,8 +71,8 @@ func TestCacheTierMetrics(t *testing.T) {
 	defer ts.Close()
 	client := ts.Client()
 
-	post(t, client, ts.URL+"/v1/explore", testReq) // miss both tiers
-	post(t, client, ts.URL+"/v1/explore", testReq) // memory hit
+	post(t, client, ts.URL+"/v1/explore", testReq) // miss
+	post(t, client, ts.URL+"/v1/explore", testReq) // hit
 
 	status, body, _ := do(t, client, "GET", ts.URL+"/metrics")
 	if status != http.StatusOK {
@@ -86,13 +81,64 @@ func TestCacheTierMetrics(t *testing.T) {
 	for _, series := range []string{
 		`edramd_cache_tier_hits_total{tier="memory"} 1`,
 		`edramd_cache_tier_misses_total{tier="memory"} 1`,
-		`edramd_cache_tier_hits_total{tier="disk"} 0`,
-		`edramd_cache_tier_misses_total{tier="disk"} 1`,
 		`edramd_disk_cache_entries 1`,
 	} {
 		if !strings.Contains(body, series) {
 			t.Errorf("/metrics missing %q", series)
 		}
+	}
+	for _, gone := range []string{`tier="disk"`, "edramd_disk_cache_evictions "} {
+		if strings.Contains(body, gone) {
+			t.Errorf("/metrics still exports %q", gone)
+		}
+	}
+
+	mem := httptest.NewServer(NewServer(Config{Workers: 2}))
+	defer mem.Close()
+	post(t, mem.Client(), mem.URL+"/v1/explore", testReq)
+	if v := metricValue(t, mem.Client(), mem.URL, `edramd_cache_tier_misses_total{tier="memory"}`); v != "1" {
+		t.Errorf("memory-only daemon: memory tier misses = %q, want 1", v)
+	}
+	if v := metricValue(t, mem.Client(), mem.URL, "edramd_disk_cache_entries"); v != "" {
+		t.Errorf("memory-only daemon exports edramd_disk_cache_entries %s", v)
+	}
+}
+
+// TestCacheEntriesBoundsCache pins the one cache budget: CacheEntries
+// caps the result cache with and without a CacheDir, the overflow is
+// counted in edramd_cache_evictions_total, and the evicted (least
+// recently used) key misses again.
+func TestCacheEntriesBoundsCache(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		t.Run(fmt.Sprintf("dir=%t", dir != ""), func(t *testing.T) {
+			srv := NewServer(Config{Workers: 2, CacheEntries: 2, CacheDir: dir})
+			defer srv.Close()
+			if err := srv.DiskCacheErr(); err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			sheet := func(bits int) string {
+				return `{"capacity_mbit":16,"interface_bits":` + strconv.Itoa(bits) + `}`
+			}
+			for _, bits := range []int{64, 128, 256} {
+				if status, body, hdr := post(t, ts.Client(), ts.URL+"/v1/datasheet", sheet(bits)); status != http.StatusOK || hdr.Get("X-Cache") != "miss" {
+					t.Fatalf("datasheet %d: status %d, X-Cache %q: %s", bits, status, hdr.Get("X-Cache"), body)
+				}
+			}
+			if n := srv.DiskStats().Entries; n != 2 {
+				t.Errorf("cache holds %d entries, want the CacheEntries cap of 2", n)
+			}
+			if v := metricValue(t, ts.Client(), ts.URL, "edramd_cache_evictions_total"); v != "1" {
+				t.Errorf("edramd_cache_evictions_total = %q, want 1", v)
+			}
+			if _, _, hdr := post(t, ts.Client(), ts.URL+"/v1/datasheet", sheet(256)); hdr.Get("X-Cache") != "hit" {
+				t.Errorf("newest key: X-Cache %q, want hit", hdr.Get("X-Cache"))
+			}
+			if _, _, hdr := post(t, ts.Client(), ts.URL+"/v1/datasheet", sheet(64)); hdr.Get("X-Cache") != "miss" {
+				t.Errorf("evicted key: X-Cache %q, want miss", hdr.Get("X-Cache"))
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 // The delta-aware cache tier. Between the byte-exact result cache
 // (identical request → identical bytes) and a cold sweep sits the warm
 // "tweak one constraint" pattern: a request whose canonical key misses
-// every byte tier but whose requirement *structure* matches a sweep the
+// the result cache but whose requirement *structure* matches a sweep the
 // daemon already ran. For those, a retained core.DeltaState re-serves
 // the response from the prior run's evaluations (sweeping only newly
 // exposed intervals), byte-identical to the cold computation — surfaced
@@ -95,6 +95,16 @@ func (s *Server) buildExploreRecorded(ctx context.Context, req core.Requirements
 	st.Seal()
 	s.deltaStates.store(st)
 	return resp, nil
+}
+
+// deltaLookup returns the retained state able to serve req, counting a
+// delta-tier miss when there is none.
+func (s *Server) deltaLookup(req core.Requirements) *deltaEntry {
+	e := s.deltaStates.lookup(req)
+	if e == nil {
+		s.tierDeltaMisses.Inc()
+	}
+	return e
 }
 
 // serveExploreDelta serves req from a retained state, folding the

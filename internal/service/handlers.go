@@ -61,13 +61,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.jobsStore != nil {
 		s.jobsActive.Set(int64(s.jobsStore.Active()))
 	}
-	if s.disk != nil {
-		// Scrape-time sync, like the jobs gauge: the disk tier keeps its
-		// own counters and the registry mirrors them on read.
-		st := s.disk.Stats()
-		s.metrics.Gauge("edramd_disk_cache_entries", "Live entries in the disk cache tier.").Set(int64(st.Entries))
-		s.metrics.Gauge("edramd_disk_cache_live_bytes", "Live value bytes in the disk cache tier.").Set(st.LiveBytes)
-		s.metrics.Gauge("edramd_disk_cache_evictions", "Disk-tier entries evicted by the size/entry budget.").Set(st.Evictions)
+	if s.cfg.CacheDir != "" {
+		// Scrape-time sync, like the jobs gauge: the cache keeps its own
+		// counters and the registry mirrors them on read.
+		st := s.cache.Stats()
+		s.metrics.Gauge("edramd_disk_cache_entries", "Live entries in the disk-logged result cache.").Set(int64(st.Entries))
+		s.metrics.Gauge("edramd_disk_cache_live_bytes", "Live value bytes in the disk-logged result cache.").Set(st.LiveBytes)
 		s.metrics.Gauge("edramd_disk_cache_replayed_entries", "Entries recovered from the segment log at boot.").Set(st.ReplayedEntries)
 		s.metrics.Gauge("edramd_disk_cache_dropped_records", "Damaged log suffixes truncated at boot.").Set(st.DroppedRecords)
 		s.metrics.Gauge("edramd_disk_cache_invalidations", "Whole-segment discards (generation mismatch).").Set(st.Invalidations)
@@ -96,8 +95,8 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	// request/response cycle is converted into a job (202 + job id)
 	// unless the cache already holds the answer.
 	if t := s.cfg.AsyncPointThreshold; t > 0 && core.SweepCount(req) > t {
-		if val, tag, ok := s.lookupTiered(key); ok {
-			w.Header().Set("X-Cache", tag)
+		if val, ok := s.lookup(key); ok {
+			w.Header().Set("X-Cache", "hit")
 			writeBytes(w, val)
 			return
 		}
@@ -109,7 +108,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// computeExplore is the explore answer below the byte tiers, admitted
+// computeExplore is the explore answer below the result cache, admitted
 // under endpoint's budget. The delta tier outranks the sharded
 // fan-out: a byte-identity miss whose requirement structure matches a
 // retained sweep is re-served incrementally (byte-identical to the
@@ -125,16 +124,13 @@ func (s *Server) computeExplore(ctx context.Context, endpoint string, req core.R
 	defer release()
 	var resp *ExploreResponse
 	tag := ""
-	if e := s.deltaStates.lookup(req); e != nil {
+	if e := s.deltaLookup(req); e != nil {
 		resp, err = s.serveExploreDelta(ctx, e, req, workers)
 		tag = "hit-delta"
+	} else if s.shardingEnabled() {
+		resp, err = s.buildExploreSharded(ctx, req, workers)
 	} else {
-		s.tierDeltaMisses.Inc()
-		if s.shardingEnabled() {
-			resp, err = s.buildExploreSharded(ctx, req, workers)
-		} else {
-			resp, err = s.buildExploreRecorded(ctx, req, workers)
-		}
+		resp, err = s.buildExploreRecorded(ctx, req, workers)
 	}
 	if err != nil {
 		return nil, "", err
@@ -145,9 +141,9 @@ func (s *Server) computeExplore(ctx context.Context, endpoint string, req core.R
 
 // handleRecommend serves the picks of the explore answer for the same
 // requirements. Recommend keeps its own cache key; below it, the
-// explore answer is read through the explore tiers (memory, disk,
-// delta, then a recorded pruned sweep that fills them), and only its
-// recommendations array is decoded.
+// explore answer is read through the explore tiers (the result cache,
+// delta, then a recorded pruned sweep that fills the cache), and only
+// its recommendations array is decoded.
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var body RequirementsRequest
 	if !decodeBody(w, r, &body) {
@@ -195,19 +191,15 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 }
 
 // exploreAnswer returns req's encoded explore answer through the
-// explore tiers: memory, disk, then computeExplore (the delta tier or
-// a recorded pruned sweep), whose bytes fill the byte tiers.
+// explore read path that POST /v1/explore takes: the result cache,
+// coalescing onto an identical explore in flight, then computeExplore
+// (the delta tier or a recorded pruned sweep), whose bytes fill the
+// cache.
 func (s *Server) exploreAnswer(ctx context.Context, endpoint string, req core.Requirements) ([]byte, error) {
-	key := HashKey("explore", req.CanonicalKey())
-	if b, _, ok := s.lookupTiered(key); ok {
-		return b, nil
-	}
-	b, _, err := s.computeExplore(ctx, endpoint, req)
-	if err != nil {
-		return nil, err
-	}
-	s.fillCaches(key, b)
-	return b, nil
+	b, _, err := s.cached(ctx, endpoint, HashKey("explore", req.CanonicalKey()), func(ctx context.Context) ([]byte, string, error) {
+		return s.computeExplore(ctx, endpoint, req)
+	})
+	return b, err
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {

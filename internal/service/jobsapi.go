@@ -448,14 +448,15 @@ func (s *Server) runExploreJob(req core.Requirements) jobs.RunFunc {
 		if err := req.Validate(); err != nil {
 			return nil, err
 		}
+		var e *deltaEntry
+		if len(h.Resumed()) == 0 {
+			e = s.deltaLookup(req)
+		}
 		var resp *ExploreResponse
 		var err error
-		if len(h.Resumed()) > 0 {
-			resp, err = s.sweepExploreJob(ctx, h, req)
-		} else if e := s.deltaStates.lookup(req); e != nil {
+		if e != nil {
 			resp, err = s.deltaExploreJob(ctx, h, e, req)
 		} else {
-			s.tierDeltaMisses.Inc()
 			resp, err = s.sweepExploreJob(ctx, h, req)
 		}
 		if err != nil {
@@ -465,9 +466,9 @@ func (s *Server) runExploreJob(req core.Requirements) jobs.RunFunc {
 		if err != nil {
 			return nil, err
 		}
-		// Cross-fill the synchronous tiers: a later POST /v1/explore of
-		// the same requirements is a hit on the job's bytes.
-		s.fillCaches(resp.Key, b)
+		// Cross-fill the result cache: a later POST /v1/explore of the
+		// same requirements is a hit on the job's bytes.
+		s.fill(resp.Key, b)
 		return b, nil
 	}
 }
@@ -798,8 +799,8 @@ func (s *Server) runScenarioJob(scn *scenario.Scenario) jobs.RunFunc {
 		if err != nil {
 			return nil, err
 		}
-		// Cross-fill the synchronous scenario tiers.
-		s.fillCaches(HashKey("scenario", scn.CanonicalKey()), b)
+		// Cross-fill the result cache for the synchronous scenario path.
+		s.fill(HashKey("scenario", scn.CanonicalKey()), b)
 		return b, nil
 	}
 }

@@ -184,8 +184,8 @@ func TestRecommendParity(t *testing.T) {
 		for i := range reqs {
 			check(t, ts, i)
 		}
-		if v := metricValue(t, ts.Client(), ts.URL, `edramd_cache_tier_hits_total{tier="disk"}`); v != strconv.Itoa(cached) {
-			t.Errorf("disk tier hits = %s, want one per cached explore (%d)", v, cached)
+		if v := metricValue(t, ts.Client(), ts.URL, `edramd_cache_tier_hits_total{tier="memory"}`); v != strconv.Itoa(cached) {
+			t.Errorf("memory tier hits after restart = %s, want one per replayed explore (%d)", v, cached)
 		}
 	})
 

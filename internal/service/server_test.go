@@ -40,7 +40,12 @@ func TestCoalescingAndCache(t *testing.T) {
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	var once sync.Once
+	var mu sync.Mutex
+	computed := map[string]int{}
 	srv.computeStarted = func(endpoint, key string) {
+		mu.Lock()
+		computed[key]++
+		mu.Unlock()
 		once.Do(func() {
 			close(started)
 			<-gate
@@ -81,8 +86,20 @@ func TestCoalescingAndCache(t *testing.T) {
 	if !strings.Contains(caches, "miss") || !strings.Contains(caches, "coalesced") {
 		t.Errorf("X-Cache pair = %q, want one miss and one coalesced", caches)
 	}
-	if got := srv.cacheMisses.Value(); got != 1 {
-		t.Errorf("computations = %d, want exactly 1 (coalescing failed)", got)
+	// One computation per key: the recommend, and below it the
+	// explore answer it reads through the same cached read path.
+	mu.Lock()
+	if len(computed) != 2 {
+		t.Errorf("computed keys = %v, want the recommend and its explore answer", computed)
+	}
+	for key, n := range computed {
+		if n != 1 {
+			t.Errorf("key %s computed %d times, want exactly 1 (coalescing failed)", key, n)
+		}
+	}
+	mu.Unlock()
+	if got := srv.cacheMisses.Value(); got != 2 {
+		t.Errorf("cache misses = %d, want 2", got)
 	}
 	if got := srv.coalescedReqs.Value(); got != 1 {
 		t.Errorf("coalesced counter = %d, want 1", got)
@@ -144,8 +161,10 @@ func TestDistinctRequestsComputeSeparately(t *testing.T) {
 	if b1 == b2 {
 		t.Error("distinct requirements produced identical responses")
 	}
-	if got := srv.cacheMisses.Value(); got != 2 {
-		t.Errorf("computations = %d, want 2", got)
+	// Each recommend misses twice: its own key and the explore answer
+	// it reads.
+	if got := srv.cacheMisses.Value(); got != 4 {
+		t.Errorf("computations = %d, want 4", got)
 	}
 }
 

@@ -3,9 +3,9 @@
 // recommendation, simulation, datasheets and the experiment suite.
 // Three scaling layers sit between the socket and the model:
 //
-//  1. a canonical-key LRU result cache (ResultCache) — identical
-//     requests are served from memory, byte-identical to the original
-//     computation;
+//  1. one canonical-key result cache (a diskcache.Cache, logged to
+//     disk when CacheDir is set) — identical requests are served from
+//     memory, byte-identical to the original computation;
 //  2. request coalescing (flightGroup) — concurrent identical misses
 //     run the computation once and share the bytes;
 //  3. a bounded shared worker pool (WorkerPool) — the process-wide
@@ -36,10 +36,10 @@ import (
 
 // Config tunes the server; the zero value gets sensible defaults.
 type Config struct {
-	// CacheEntries caps the result cache (default 256); CacheTTL is the
-	// per-entry lifetime (default 15m; negative disables expiry).
+	// CacheEntries caps the result cache (default 4096 entries, under
+	// a fixed 256 MiB byte budget). Entries never expire: a response
+	// is a pure function of its canonical key and CacheGeneration().
 	CacheEntries int
-	CacheTTL     time.Duration
 	// Workers is the shared evaluation-worker budget
 	// (default GOMAXPROCS).
 	Workers int
@@ -93,22 +93,16 @@ type Config struct {
 	// locally after this long (0 disables hedging).
 	ShardHedgeAfter time.Duration
 
-	// CacheDir enables the persistent disk cache tier behind the
-	// in-memory LRU ("" disables it). The segment replays synchronously
-	// in NewServer, before the daemon marks itself ready.
+	// CacheDir logs the result cache to a segment in this directory,
+	// so a restarted daemon serves its hot keys without recomputation
+	// ("" keeps the cache memory-only). The segment replays
+	// synchronously in NewServer, before the daemon marks itself ready.
 	CacheDir string
-	// DiskCacheBytes / DiskCacheEntries bound the disk tier
-	// (defaults 256 MiB / 4096 entries).
-	DiskCacheBytes   int64
-	DiskCacheEntries int
 }
 
 func (c Config) withDefaults() Config {
 	if c.CacheEntries == 0 {
-		c.CacheEntries = 256
-	}
-	if c.CacheTTL == 0 {
-		c.CacheTTL = 15 * time.Minute
+		c.CacheEntries = 4096
 	}
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -167,7 +161,6 @@ const (
 type Server struct {
 	cfg       Config
 	mux       *http.ServeMux
-	cache     *ResultCache
 	flights   flightGroup
 	pool      *WorkerPool
 	metrics   *Metrics
@@ -181,10 +174,11 @@ type Server struct {
 	jobsStore *jobs.Store
 	jobsErr   error
 
-	// disk is the persistent cache tier (nil unless CacheDir is set);
-	// diskErr records a failed open so the daemon can refuse to start
-	// instead of silently serving cold.
-	disk    *diskcache.Cache
+	// cache is the result cache, logged to CacheDir when one is set;
+	// diskErr records a failed open (the cache then stays memory-only)
+	// so the daemon can refuse to start instead of silently serving
+	// cold.
+	cache   *diskcache.Cache
 	diskErr error
 
 	// shardClient carries /v1/internal/shard sub-requests to peers.
@@ -201,13 +195,11 @@ type Server struct {
 	admissionQueued *Gauge
 	jobsActive      *Gauge
 
-	// Tiered-cache counters: the memory pair resolves always, the disk
-	// pair only when the disk tier is configured. Tier label values are
-	// construction-time literals (closed set).
-	tierMemHits    *Counter
-	tierMemMisses  *Counter
-	tierDiskHits   *Counter
-	tierDiskMisses *Counter
+	// Tiered-cache counters: the result cache is tier "memory" (its
+	// index is in RAM whether or not it is logged to disk). Tier label
+	// values are construction-time literals (closed set).
+	tierMemHits   *Counter
+	tierMemMisses *Counter
 
 	// Delta-tier state and counters (see deltaserve.go): explore
 	// requests whose byte-identity misses but whose requirement
@@ -243,7 +235,6 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
-		cache:     NewResultCache(cfg.CacheEntries, cfg.CacheTTL),
 		pool:      NewWorkerPool(cfg.Workers),
 		metrics:   m,
 		admission: newAdmission(cfg.Workers, cfg.MaxQueueDepth, cfg.endpointBudgets()),
@@ -253,15 +244,13 @@ func NewServer(cfg Config) *Server {
 		workersCap:      m.Gauge("edramd_workers_capacity", "Evaluation worker pool capacity."),
 		cacheHits:       m.Counter("edramd_cache_hits_total", "Responses served from the result cache."),
 		cacheMisses:     m.Counter("edramd_cache_misses_total", "Responses computed on a cache miss."),
-		cacheEvicts:     m.Counter("edramd_cache_evictions_total", "Cache entries evicted by the LRU cap."),
+		cacheEvicts:     m.Counter("edramd_cache_evictions_total", "Cache entries evicted by the entry/byte budget."),
 		coalescedReqs:   m.Counter("edramd_coalesced_requests_total", "Requests that joined an in-flight identical computation."),
 		admissionQueued: m.Gauge("edramd_admission_queued", "Computations admitted and not yet released."),
 		jobsActive:      m.Gauge("edramd_jobs_active", "Async jobs currently running."),
 
-		tierMemHits:    m.Counter("edramd_cache_tier_hits_total", "Cache hits by tier.", Label{"tier", "memory"}),
-		tierMemMisses:  m.Counter("edramd_cache_tier_misses_total", "Cache misses by tier.", Label{"tier", "memory"}),
-		tierDiskHits:   m.Counter("edramd_cache_tier_hits_total", "Cache hits by tier.", Label{"tier", "disk"}),
-		tierDiskMisses: m.Counter("edramd_cache_tier_misses_total", "Cache misses by tier.", Label{"tier", "disk"}),
+		tierMemHits:   m.Counter("edramd_cache_tier_hits_total", "Cache hits by tier.", Label{"tier", "memory"}),
+		tierMemMisses: m.Counter("edramd_cache_tier_misses_total", "Cache misses by tier.", Label{"tier", "memory"}),
 
 		deltaStates:     newDeltaIndex(),
 		tierDeltaHits:   m.Counter("edramd_cache_tier_hits_total", "Cache hits by tier.", Label{"tier", "delta"}),
@@ -279,15 +268,12 @@ func NewServer(cfg Config) *Server {
 	}
 	s.workersCap.Set(int64(cfg.Workers))
 	s.shardClient = &http.Client{Timeout: cfg.RequestTimeout}
-	if cfg.CacheDir != "" {
-		// The segment replays synchronously here, so a warm-starting
-		// daemon holds /readyz at 503 "starting" until the disk tier is
-		// fully rebuilt (MarkReady comes after NewServer returns).
-		s.disk, s.diskErr = diskcache.Open(cfg.CacheDir, diskcache.Options{
-			MaxBytes:   cfg.DiskCacheBytes,
-			MaxEntries: cfg.DiskCacheEntries,
-			Generation: CacheGeneration(),
-		})
+	// The segment replays synchronously here, so a warm-starting daemon
+	// holds /readyz at 503 "starting" until the cache is fully rebuilt
+	// (MarkReady comes after NewServer returns).
+	opts := diskcache.Options{MaxEntries: cfg.CacheEntries, Generation: CacheGeneration()}
+	if s.cache, s.diskErr = diskcache.Open(cfg.CacheDir, opts); s.diskErr != nil {
+		s.cache, _ = diskcache.Open("", opts)
 	}
 	s.jobsStore, s.jobsErr = jobs.NewStore(jobs.Config{
 		Dir:       cfg.JobDir,
@@ -323,19 +309,15 @@ func NewServer(cfg Config) *Server {
 // instance out of rotation while /healthz already answers.
 func (s *Server) MarkReady() { s.readiness.CompareAndSwap(readyStarting, readyOK) }
 
-// DiskCacheErr reports a failed disk-tier open (bad CacheDir). The
-// daemon checks it at startup and refuses to serve rather than running
-// silently without the tier it was configured with.
+// DiskCacheErr reports a failed open of CacheDir. The daemon checks it
+// at startup and refuses to serve rather than running silently without
+// the warm start it was configured with.
 func (s *Server) DiskCacheErr() error { return s.diskErr }
 
-// DiskStats snapshots the disk tier's counters (zero when the tier is
-// off) — the warm-start smoke and tests read it.
-func (s *Server) DiskStats() diskcache.Stats {
-	if s.disk == nil {
-		return diskcache.Stats{}
-	}
-	return s.disk.Stats()
-}
+// DiskStats snapshots the result cache's counters — the warm-start
+// smoke and tests read it. The replay counters stay zero without a
+// CacheDir.
+func (s *Server) DiskStats() diskcache.Stats { return s.cache.Stats() }
 
 // CacheGeneration is the disk tier's generation tag: the wire schema
 // version plus every canonical-key tag version that can appear in a
@@ -347,33 +329,21 @@ func CacheGeneration() string {
 		SchemaVersion)
 }
 
-// lookupTiered consults memory then disk. A disk hit is promoted into
-// the memory LRU so the next lookup stays off the index entirely; the
-// returned tag is the X-Cache value ("hit" or "hit-disk").
-func (s *Server) lookupTiered(key string) ([]byte, string, bool) {
-	if val, ok := s.cache.Get(key); ok {
+// lookup consults the result cache; a hit is served as X-Cache "hit".
+func (s *Server) lookup(key string) ([]byte, bool) {
+	val, ok := s.cache.Get(key)
+	if ok {
 		s.cacheHits.Inc()
 		s.tierMemHits.Inc()
-		return val, "hit", true
+	} else {
+		s.tierMemMisses.Inc()
 	}
-	s.tierMemMisses.Inc()
-	if s.disk != nil {
-		if val, ok := s.disk.Get(key); ok {
-			s.tierDiskHits.Inc()
-			s.cacheEvicts.Add(int64(s.cache.Put(key, val)))
-			return val, "hit-disk", true
-		}
-		s.tierDiskMisses.Inc()
-	}
-	return nil, "", false
+	return val, ok
 }
 
-// fillCaches stores freshly computed response bytes in every tier.
-func (s *Server) fillCaches(key string, b []byte) {
+// fill stores freshly computed response bytes in the result cache.
+func (s *Server) fill(key string, b []byte) {
 	s.cacheEvicts.Add(int64(s.cache.Put(key, b)))
-	if s.disk != nil {
-		s.disk.Put(key, b)
-	}
 }
 
 // Warmup primes the result cache with the explore responses for the
@@ -395,7 +365,7 @@ func (s *Server) Warmup(ctx context.Context, reqs []core.Requirements) error {
 		if err != nil {
 			return err
 		}
-		s.fillCaches(HashKey("explore", req.CanonicalKey()), b)
+		s.fill(HashKey("explore", req.CanonicalKey()), b)
 	}
 	return nil
 }
@@ -406,7 +376,8 @@ func (s *Server) markDraining() { s.readiness.Store(readyDraining) }
 
 // Close shuts the async-job store down (running jobs are cancelled
 // cooperatively and keep their last checkpoint for the next life) and
-// snapshots the disk cache tier for the next boot's warm start.
+// snapshots the result cache to CacheDir for the next boot's warm
+// start.
 // ListenAndServe calls it after the HTTP drain; tests that never serve
 // call it directly.
 func (s *Server) Close() error {
@@ -414,10 +385,8 @@ func (s *Server) Close() error {
 	if s.jobsStore != nil {
 		err = s.jobsStore.Close(s.cfg.DrainTimeout)
 	}
-	if s.disk != nil {
-		if derr := s.disk.Close(); err == nil {
-			err = derr
-		}
+	if cerr := s.cache.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -572,11 +541,50 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// serveCached is the shared read path: cache lookup, then coalesced
-// computation, then cache fill. compute returns the canonical encoded
-// response bytes. The computation runs on a context detached from the
-// initiating request (a disconnecting initiator must not kill the
-// waiters that coalesced onto it) but still bounded by RequestTimeout.
+// cached is the shared read path below the handlers: cache lookup,
+// then coalesced computation, then cache fill. It returns the bytes
+// and their X-Cache value: "hit", "coalesced" for a follower that
+// waited on an identical computation, and for the leader either the
+// non-empty tag compute reports (the delta tier's "hit-delta") or
+// "miss". compute returns the canonical encoded response bytes. It
+// runs on a context detached from ctx (a disconnecting initiator must
+// not kill the waiters that coalesced onto it) but still bounded by
+// RequestTimeout.
+func (s *Server) cached(ctx context.Context, endpoint, key string, compute func(ctx context.Context) ([]byte, string, error)) ([]byte, string, error) {
+	if val, ok := s.lookup(key); ok {
+		return val, "hit", nil
+	}
+	// Written only inside the leader's closure, read only after Do
+	// returns in the leader's own call — followers never run the
+	// closure and never read it.
+	tag := "miss"
+	val, err, coalesced := s.flights.Do(ctx, key, func() ([]byte, error) {
+		s.cacheMisses.Inc()
+		if s.computeStarted != nil {
+			s.computeStarted(endpoint, key)
+		}
+		//nolint:edramvet/ctxflow // deliberate detach: coalesced followers must not lose the shared compute when the leader request disconnects; the timeout re-bounds it
+		cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.cfg.RequestTimeout)
+		defer cancel()
+		b, t, err := compute(cctx)
+		if err != nil {
+			return nil, err
+		}
+		if t != "" {
+			tag = t
+		}
+		s.fill(key, b)
+		return b, nil
+	})
+	if coalesced {
+		s.coalescedReqs.Inc()
+		tag = "coalesced"
+	}
+	return val, tag, err
+}
+
+// serveCached writes what cached returns for key, with its X-Cache
+// value.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, key string, compute func(ctx context.Context) ([]byte, error)) {
 	s.serveCachedTagged(w, r, endpoint, key, func(ctx context.Context) ([]byte, string, error) {
 		b, err := compute(ctx)
@@ -585,44 +593,10 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, k
 }
 
 // serveCachedTagged is serveCached for computations that can report a
-// serving tier of their own: a non-empty tag from compute replaces the
-// leader's default "miss" X-Cache value (the delta tier's "hit-delta").
-// Coalesced followers keep "coalesced" — they did not compute.
+// serving tier of their own (see cached).
 func (s *Server) serveCachedTagged(w http.ResponseWriter, r *http.Request, endpoint, key string, compute func(ctx context.Context) ([]byte, string, error)) {
-	if val, tag, ok := s.lookupTiered(key); ok {
-		w.Header().Set("X-Cache", tag)
-		writeBytes(w, val)
-		return
-	}
-	// Written only inside the leader's closure, read only after Do
-	// returns in the leader's own call — followers never run the
-	// closure and never read it.
-	leaderTag := ""
-	val, err, coalesced := s.flights.Do(r.Context(), key, func() ([]byte, error) {
-		s.cacheMisses.Inc()
-		if s.computeStarted != nil {
-			s.computeStarted(endpoint, key)
-		}
-		//nolint:edramvet/ctxflow // deliberate detach: coalesced followers must not lose the shared compute when the leader request disconnects; the timeout re-bounds it
-		ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), s.cfg.RequestTimeout)
-		defer cancel()
-		b, tag, err := compute(ctx)
-		if err != nil {
-			return nil, err
-		}
-		leaderTag = tag
-		s.fillCaches(key, b)
-		return b, nil
-	})
-	switch {
-	case coalesced:
-		s.coalescedReqs.Inc()
-		w.Header().Set("X-Cache", "coalesced")
-	case leaderTag != "":
-		w.Header().Set("X-Cache", leaderTag)
-	default:
-		w.Header().Set("X-Cache", "miss")
-	}
+	val, tag, err := s.cached(r.Context(), endpoint, key, compute)
+	w.Header().Set("X-Cache", tag)
 	if err != nil {
 		var oe *overloadError
 		if errors.As(err, &oe) {
