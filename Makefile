@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-audit lint-sarif lint-baseline race jobs-stress bench bench-compare fuzz fuzz-smoke serve-smoke load-smoke shard-smoke perfbench-check scenarios check
+.PHONY: build test vet lint lint-audit lint-sarif lint-baseline race jobs-stress bench bench-compare fuzz fuzz-smoke serve-smoke load-smoke perfbench-check scenarios check
 
 build:
 	$(GO) build ./...
@@ -78,14 +78,15 @@ bench-compare: bench
 	$(GO) run ./cmd/benchdiff -compare -time-tol $(BENCH_TIME_TOL) -alloc-tol $(BENCH_ALLOC_TOL) $(BENCH_BASE) $(BENCH_OUT)
 
 # fuzz runs the cell-array fuzzer with a real time budget; fuzz-smoke
-# only replays the checked-in seed corpus (no -fuzz), which is cheap
-# enough to sit on the tier-1 path.
+# only replays the seed corpora (no -fuzz) of the cell-array fuzzer and
+# of the explore-job checkpoint decoder (internal/service/testdata/fuzz),
+# which is cheap enough to sit on the tier-1 path.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzArrayReadWrite -fuzztime $(FUZZTIME) ./internal/dram/
 
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' ./internal/dram/
+	$(GO) test -run '^Fuzz' ./internal/dram/ ./internal/service/
 
 # serve-smoke boots the real edramd daemon on a random loopback port,
 # drives /healthz, /v1/recommend and /metrics with live HTTP calls,
@@ -95,22 +96,13 @@ serve-smoke:
 
 # load-smoke replays the deterministic SLO profile (cmd/edramload,
 # seed 1) against a self-hosted daemon whose /v1/simulate budget is
-# deliberately tiny, with local sharding on and a pre-warmed disk
-# cache tier: hot-key, cache-busting, coalescing-storm, slow-client,
-# mid-flight-disconnect, deliberate-overload and sharded-explore
-# mixes. It exits non-zero on any SLO breach or any 5xx other than
+# deliberately tiny, with a pre-warmed disk cache tier: hot-key,
+# cache-busting, coalescing-storm, slow-client, mid-flight-disconnect,
+# deliberate-overload, rotating-explore and delta mixes. It exits non-zero on any SLO breach or any 5xx other than
 # the overload mix's intended 503s, and reports per-tier cache hit
 # ratios.
 load-smoke:
 	$(GO) run ./cmd/edramload -seed 1
-
-# shard-smoke is the scale-out end-to-end test: edramd re-executes
-# itself as two real peer processes on loopback ports, shards explores
-# across them from an in-process coordinator (disk cache tier and job
-# API enabled), SIGKILLs one peer mid-topology, and verifies every
-# response stays byte-identical to the single-process sweep.
-shard-smoke:
-	$(GO) run ./cmd/edramd -shard-smoke
 
 # perfbench-check vets and tests the benchmark harness (perfbench/, its
 # own Go module with a replace of this one): nothing else builds it, so
@@ -124,10 +116,9 @@ perfbench-check:
 # reliability trial pool's concurrency is exercised under the race
 # detector on every PR, the repeated job-checkpoint stress, plus a
 # replay of the fuzz seed corpus, the
-# daemon's end-to-end smoke, the load/SLO smoke, the 3-process sharded
-# explore smoke, the benchmark harness's vet and tests and the
-# scenario-corpus gate.
-check: build vet lint lint-audit race jobs-stress fuzz-smoke serve-smoke load-smoke shard-smoke perfbench-check scenarios
+# daemon's end-to-end smoke, the load/SLO smoke, the benchmark
+# harness's vet and tests and the scenario-corpus gate.
+check: build vet lint lint-audit race jobs-stress fuzz-smoke serve-smoke load-smoke perfbench-check scenarios
 
 # scenarios validates the declarative-scenario corpus: every *.json
 # under examples/scenarios/ must load and compile through the shared

@@ -12,27 +12,21 @@
 //	       [-timeout 60s] [-drain 10s] [-queue-depth 32]
 //	       [-jobs-dir DIR] [-max-jobs 64] [-max-active-jobs 2]
 //	       [-async-threshold N] [-warmup CAP:BW:HIT,...]
-//	       [-peers URL,URL] [-shard N] [-hedge-after 2s]
-//	       [-cache-dir DIR] [-smoke] [-shard-smoke]
+//	       [-cache-dir DIR] [-smoke]
 //
 // -jobs-dir enables resumable jobs: running jobs checkpoint there and
 // a restarted daemon resumes them before marking itself ready.
 // -warmup primes the explore cache before /readyz goes green.
 //
-// -peers and -shard enable sharded exploration: sweeps are
-// partitioned across the local worker pool and the listed peer
-// daemons, with dead-peer partitions retried locally — responses stay
-// byte-identical to the single-process sweep. -cache-dir logs the
-// result cache to disk: responses survive restarts in an append-only
-// segment log and /readyz stays 503 until the replay completes.
+// -cache-dir logs the result cache to disk: responses survive
+// restarts in an append-only segment log and /readyz stays 503 until
+// the replay completes.
 //
 // -smoke runs the self-test used by `make serve-smoke`: bind a random
 // loopback port, exercise /healthz, /readyz, /v1/recommend, the job
 // API and /metrics with real HTTP calls, then deliver SIGTERM to the
 // process itself and verify the graceful-drain path shuts the server
-// down. -shard-smoke runs the scale-out self-test used by
-// `make shard-smoke`: spawn two real peer processes, shard explores
-// across them, SIGKILL one, and verify byte parity throughout.
+// down.
 package main
 
 import (
@@ -71,12 +65,8 @@ func main() {
 	maxActiveJobs := flag.Int("max-active-jobs", 0, "concurrently running job bound (0 = default 2)")
 	asyncThreshold := flag.Int("async-threshold", 0, "convert sync explores over this many sweep points into async jobs (0 = never)")
 	warmup := flag.String("warmup", "", "comma-separated CAP_MBIT:BW_GBPS:HIT_RATE triples to pre-explore into the cache before readiness")
-	peers := flag.String("peers", "", "comma-separated base URLs of peer edramd daemons to shard explores across")
-	shardParts := flag.Int("shard", 0, "shard explores into this many partitions (0 = auto when -peers is set, off otherwise)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedge straggling shard partitions locally after this long (0 = default)")
 	cacheDir := flag.String("cache-dir", "", "directory the result cache is logged to for warm restarts (empty = memory-only caching)")
 	smoke := flag.Bool("smoke", false, "run the serve-smoke self-test and exit")
-	shardSmoke := flag.Bool("shard-smoke", false, "run the 3-process sharded-explore self-test and exit")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this extra loopback address (e.g. 127.0.0.1:6060); off by default and never exposed on the serving mux")
 	flag.Parse()
 
@@ -90,28 +80,12 @@ func main() {
 		MaxJobs:             *maxJobs,
 		MaxActiveJobs:       *maxActiveJobs,
 		AsyncPointThreshold: *asyncThreshold,
-		ShardParts:          *shardParts,
-		ShardHedgeAfter:     *hedgeAfter,
 		CacheDir:            *cacheDir,
 		AccessLog:           os.Stdout,
-	}
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				cfg.Peers = append(cfg.Peers, p)
-			}
-		}
 	}
 	warmupReqs, err := parseWarmup(*warmup)
 	if err != nil {
 		fail("%v", err)
-	}
-	if *shardSmoke {
-		if err := runShardSmoke(); err != nil {
-			fail("shard-smoke: %v", err)
-		}
-		fmt.Println("edramd: shard-smoke ok")
-		return
 	}
 	if *smoke {
 		if err := runSmoke(cfg); err != nil {

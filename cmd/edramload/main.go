@@ -12,11 +12,9 @@
 //
 // With no -addr, edramload self-hosts an in-process edramd configured
 // with a deliberately tiny /v1/simulate concurrency budget (so the
-// schedule's overload mix actually sheds), local sharding enabled (so
-// the sharded mix sweeps the partitioned explore path) and a
-// disk-logged result cache pre-warmed with one of the sharded mix's
-// bodies (so the run deterministically serves at least one warm-start
-// hit) — this is the deterministic profile `make load-smoke` and CI
+// schedule's overload mix actually sheds) and a disk-logged result
+// cache pre-warmed with one of the rotate mix's bodies (so the run
+// deterministically serves at least one warm-start hit) — this is the deterministic profile `make load-smoke` and CI
 // run. The exit status is the verdict: 0 when every SLO held and no
 // unexpected errors occurred, 1 on any breach.
 //
@@ -124,12 +122,11 @@ func main() {
 // so every mix has something real to probe: one concurrent
 // /v1/simulate at a time (the overload mix's shed target, everything
 // else generously budgeted — the global queue bound is disabled so
-// only the deliberate target sheds), two local shard partitions per
-// explore, a result cache logged to a temp directory that prewarm has
-// already populated — the main run's first draw of that body is a
-// warm-start hit, never a recomputation — and a warmed-up delta
-// state for the delta mix's requirement family, so its constraint
-// tweaks are served as hit-delta.
+// only the deliberate target sheds), a result cache logged to a temp
+// directory that prewarm has already populated — the main run's first
+// draw of that body is a warm-start hit, never a recomputation — and
+// a warmed-up delta state for the delta mix's requirement family, so
+// its constraint tweaks are served as hit-delta.
 func selfHost() (base string, shutdown func() error, err error) {
 	dir, err := os.MkdirTemp("", "edramload-cache-")
 	if err != nil {
@@ -144,7 +141,6 @@ func selfHost() (base string, shutdown func() error, err error) {
 		AccessLog:      io.Discard,
 		MaxQueueDepth:  -1,
 		EndpointBudget: map[string]int{"/v1/simulate": 1},
-		ShardParts:     2,
 		CacheDir:       dir,
 	})
 	if err := srv.DiskCacheErr(); err != nil {
@@ -152,10 +148,9 @@ func selfHost() (base string, shutdown func() error, err error) {
 		return "", nil, fmt.Errorf("disk cache: %v", err)
 	}
 	// Warm the delta mix's structural family (hit_rate 0.6, no
-	// constraint caps) so its rotating area-cap bodies are re-served
-	// incrementally from the retained sweep — the run deterministically
-	// exercises the hit-delta tier even though sharding is enabled
-	// (sharded sweeps never record delta states; Warmup does).
+	// constraint caps) so even its first rotating area-cap body is
+	// re-served incrementally from the retained sweep — the run
+	// deterministically exercises the hit-delta tier.
 	if err := srv.Warmup(context.Background(), []core.Requirements{
 		{CapacityMbit: 16, BandwidthGBps: 1.0, HitRate: 0.6},
 	}); err != nil {
@@ -184,11 +179,10 @@ func selfHost() (base string, shutdown func() error, err error) {
 	}
 }
 
-// prewarmBody is one of the sharded mix's rotating explore bodies
-// (loadgen cycles max_power_mw over 400.5..700.5; the first draw is
-// 500.5). Computing it into the cache directory ahead of the run
-// makes the main server's first sharded draw a deterministic
-// warm-start hit.
+// prewarmBody is one of the rotate mix's explore bodies (loadgen
+// cycles max_power_mw over 400.5..700.5; the first draw is 500.5).
+// Computing it into the cache directory ahead of the run makes the
+// main server's first rotate draw a deterministic warm-start hit.
 const prewarmBody = `{"capacity_mbit":16,"bandwidth_gbps":1.0,"hit_rate":0.5,"max_power_mw":500.5}`
 
 // prewarm computes prewarmBody into dir's disk cache via a throwaway

@@ -35,12 +35,9 @@ var Analyzer = &analysis.Analyzer{
 // discipline (by final path element).
 var servingPackages = map[string]bool{
 	"service": true, "jobs": true, "loadgen": true,
-	// The shard coordinator fans requests out to peers: a severed
-	// context there would keep doomed partitions running after the
-	// caller gave up. The disk cache's writer runs under the same
-	// discipline — its lifetime is channel-managed, never
-	// context-detached.
-	"shard": true, "diskcache": true,
+	// The disk cache's writer runs under the same discipline — its
+	// lifetime is channel-managed, never context-detached.
+	"diskcache": true,
 }
 
 // rootFuncs are the context constructors that sever the caller's

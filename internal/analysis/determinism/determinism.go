@@ -41,8 +41,8 @@ var modelPackages = map[string]bool{
 	"iram": true, "cpu": true, "mpeg2": true,
 	// The HTTP service layer serves cached model outputs, so its
 	// encodings must be as reproducible as the models themselves; its
-	// two intentional wall-clock sites (cache TTL, latency measurement)
-	// carry scoped nolint escapes.
+	// intentional wall-clock sites (latency measurement, the admission
+	// wait estimator) carry scoped nolint escapes.
 	"service": true,
 	// Scenario documents compile to cacheable byte-stable responses, so
 	// the loader/compiler is held to the same determinism bar.
@@ -56,10 +56,9 @@ var modelPackages = map[string]bool{
 	// regression cannot be distinguished from schedule noise. The
 	// edramload driver's latency clocks carry scoped nolint escapes.
 	"loadgen": true, "edramload": true,
-	// The shard coordinator's merged frontiers must be byte-identical
-	// to the single-process sweep regardless of partition arrival
-	// order; its one wall-clock site (merge latency) carries a scoped
-	// nolint escape.
+	// Merged partition frontiers must be byte-identical to the
+	// single-process sweep regardless of partition boundaries or merge
+	// order.
 	"shard": true,
 	// The disk cache's segment log must replay byte-identically after
 	// a restart: record framing and compaction order cannot depend on

@@ -26,10 +26,10 @@ var Analyzer = &analysis.Analyzer{
 // shutdown path (by final path element).
 var servingPackages = map[string]bool{
 	"service": true, "jobs": true, "loadgen": true,
-	// Shard lanes and the disk cache's writer goroutine live for the
-	// whole process: both must observe shutdown (context or done
-	// channel) or a drain would hang forever.
-	"shard": true, "diskcache": true,
+	// The disk cache's writer goroutine lives for the whole process:
+	// it must observe shutdown (context or done channel) or a drain
+	// would hang forever.
+	"diskcache": true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -385,8 +385,8 @@ func WithObserver(fn func(Candidate)) ExploreOption {
 // the ranged run evaluates exactly the corresponding slice of the full
 // enumeration, so a union of disjoint ranges covering [0, SweepCount)
 // reproduces the unrestricted run result-for-result. This is the
-// primitive behind resumable range-partitioned explore checkpoints and
-// subspace sharding. from < 0 or to <= 0 select the open bound.
+// primitive behind resumable range-partitioned explore checkpoints.
+// from < 0 or to <= 0 select the open bound.
 func WithSeqRange(from, to int) ExploreOption {
 	return func(c *exploreConfig) {
 		if from < 0 {

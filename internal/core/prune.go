@@ -8,7 +8,7 @@
 // skip whole Seq runs whose buildable points are all provably
 // infeasible — without enumerating them. Seq numbering stays absolute
 // (a skip advances the counter by the exact run length), so ranged
-// sweeps, shard partitions and job checkpoints remain byte-compatible
+// sweeps, job partitions and their checkpoints remain byte-compatible
 // with the unpruned enumeration; tally accounts the skipped points in
 // closed form so ExploreStats totals stay exact.
 //

@@ -21,10 +21,8 @@
 //   - overload: deliberate saturation of one tightly-budgeted endpoint
 //     — these are EXPECTED to shed with 503 + Retry-After, and their
 //     503s do not count against the error budget;
-//   - sharded: explores cycling a small body set — when the driver
-//     runs the daemon with sharding enabled these sweep the
-//     partitioned fan-out path, and the repeats land in the result
-//     cache (first draw a miss, the rest hits);
+//   - rotate: explores cycling a small body set — each body's first
+//     draw is computed, and the repeats land in the result cache;
 //   - delta: explores rotating one constraint (the area cap) over an
 //     otherwise fixed requirement structure — the first draw is the
 //     cold sweep that records the daemon's retained state, each later
@@ -85,7 +83,7 @@ func SmokeProfile(seed int64) Profile {
 			{"slow", 5},
 			{"disconnect", 5},
 			{"overload", 10},
-			{"sharded", 8},
+			{"rotate", 8},
 			{"delta", 8},
 		},
 	}
@@ -117,7 +115,7 @@ func Schedule(p Profile) ([]Request, error) {
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	var reqs []Request
-	var uniqueSeq, stormSeq, disconnectSeq, overloadSeq, shardedSeq, deltaSeq int
+	var uniqueSeq, stormSeq, disconnectSeq, overloadSeq, rotateSeq, deltaSeq int
 	for len(reqs) < p.Requests {
 		draw := rng.Intn(total)
 		var mix string
@@ -157,26 +155,26 @@ func Schedule(p Profile) ([]Request, error) {
 		case "overload":
 			// Cache-busting simulations against the endpoint the driver
 			// configures with a tiny concurrency budget. (This mix used
-			// to target /v1/explore, but explores are now the sharded
-			// mix's probe — shedding them would starve that path.)
+			// to target /v1/explore, but explores are the rotate and
+			// delta mixes' probes — shedding them would starve those.)
 			overloadSeq++
 			body := fmt.Sprintf(
 				`{"spec":{"capacity_mbit":16,"interface_bits":64},"options":{"policy":"round-robin"},`+
 					`"clients":[{"name":"cpu","kind":"sequential","rate_gbps":0.8,"count":%d}]}`,
 				500+overloadSeq)
 			reqs = append(reqs, Request{Mix: mix, Path: "/v1/simulate", Body: body, WantShed: true})
-		case "sharded":
-			// A small rotating body set: each body's first draw sweeps
-			// the (possibly sharded) explore path, the repeats measure
-			// the cache tiers.
-			shardedSeq++
-			body := fmt.Sprintf(`{"capacity_mbit":16,"bandwidth_gbps":1.0,"hit_rate":0.5,"max_power_mw":%d00.5}`, 4+shardedSeq%4)
+		case "rotate":
+			// A small rotating body set: each body's first draw is
+			// computed below the result cache, the repeats measure the
+			// cache tiers.
+			rotateSeq++
+			body := fmt.Sprintf(`{"capacity_mbit":16,"bandwidth_gbps":1.0,"hit_rate":0.5,"max_power_mw":%d00.5}`, 4+rotateSeq%4)
 			reqs = append(reqs, Request{Mix: mix, Path: "/v1/explore", Body: body})
 		case "delta":
 			// One structural requirement family, rotating only the area
 			// cap (hit_rate 0.6 keeps the family's structural key disjoint
-			// from the hot and sharded mixes' 0.5 bodies, so this mix
-			// alone decides whether the delta tier fires).
+			// from the hot and rotate mixes' 0.5 bodies, so no other mix
+			// feeds the retained state this family is re-served from).
 			deltaSeq++
 			body := fmt.Sprintf(`{"capacity_mbit":16,"bandwidth_gbps":1.0,"hit_rate":0.6,"max_area_mm2":%d.5}`, 20+10*(deltaSeq%4))
 			reqs = append(reqs, Request{Mix: mix, Path: "/v1/explore", Body: body})

@@ -44,7 +44,7 @@ func TestScheduleMixes(t *testing.T) {
 	seenMix := map[string]int{}
 	uniqueBodies := map[string]int{}
 	overloadBodies := map[string]int{}
-	shardedBodies := map[string]bool{}
+	rotateBodies := map[string]bool{}
 	deltaBodies := map[string]bool{}
 	for _, r := range reqs {
 		seenMix[r.Mix]++
@@ -57,11 +57,11 @@ func TestScheduleMixes(t *testing.T) {
 			}
 			overloadBodies[r.Body]++
 		}
-		if r.Mix == "sharded" {
+		if r.Mix == "rotate" {
 			if r.Path != "/v1/explore" || r.WantShed {
-				t.Fatalf("sharded request must be a plain explore: %+v", r)
+				t.Fatalf("rotate request must be a plain explore: %+v", r)
 			}
-			shardedBodies[r.Body] = true
+			rotateBodies[r.Body] = true
 		}
 		if r.Mix == "delta" {
 			if r.Path != "/v1/explore" || r.WantShed {
@@ -79,7 +79,7 @@ func TestScheduleMixes(t *testing.T) {
 			t.Fatalf("slow request not marked: %+v", r)
 		}
 	}
-	for _, mix := range []string{"hot", "unique", "storm", "slow", "disconnect", "overload", "sharded", "delta"} {
+	for _, mix := range []string{"hot", "unique", "storm", "slow", "disconnect", "overload", "rotate", "delta"} {
 		if seenMix[mix] == 0 {
 			t.Errorf("smoke profile never drew mix %q", mix)
 		}
@@ -94,14 +94,14 @@ func TestScheduleMixes(t *testing.T) {
 			t.Errorf("overload body repeated %d times (must cache-bust): %s", n, body)
 		}
 	}
-	// The sharded mix rotates a small set so repeats hit the cache
+	// The rotate mix cycles a small set so repeats hit the cache
 	// tiers; with 8% of 160 requests every body should recur.
-	if len(shardedBodies) == 0 || len(shardedBodies) > 4 {
-		t.Errorf("sharded mix drew %d distinct bodies, want 1..4", len(shardedBodies))
+	if len(rotateBodies) == 0 || len(rotateBodies) > 4 {
+		t.Errorf("rotate mix drew %d distinct bodies, want 1..4", len(rotateBodies))
 	}
-	if seenMix["sharded"] <= len(shardedBodies) {
-		t.Errorf("sharded mix drew %d requests over %d bodies — no repeats to hit the cache",
-			seenMix["sharded"], len(shardedBodies))
+	if seenMix["rotate"] <= len(rotateBodies) {
+		t.Errorf("rotate mix drew %d requests over %d bodies — no repeats to hit the cache",
+			seenMix["rotate"], len(rotateBodies))
 	}
 	// The delta mix needs at least two distinct caps in one run: the
 	// first records the retained state, the second exercises the

@@ -136,35 +136,6 @@ func TestExploreDeltaServeByteParity(t *testing.T) {
 	}
 }
 
-// TestExploreDeltaAgainstShardedByteParity pins the delta path against
-// the sharded explore path: both must produce the plain cold bytes.
-func TestExploreDeltaAgainstShardedByteParity(t *testing.T) {
-	sharded := NewServer(Config{Workers: 2, ShardParts: 3})
-	tsSharded := httptest.NewServer(sharded)
-	status, want, _ := post(t, tsSharded.Client(), tsSharded.URL+"/v1/explore", deltaTestReq)
-	tsSharded.Close()
-	if status != http.StatusOK {
-		t.Fatalf("sharded reference: status %d: %s", status, want)
-	}
-
-	srv := NewServer(Config{Workers: 2})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	if status, body, _ := post(t, ts.Client(), ts.URL+"/v1/explore", testReq); status != http.StatusOK {
-		t.Fatalf("base explore: status %d: %s", status, body)
-	}
-	status, got, hdr := post(t, ts.Client(), ts.URL+"/v1/explore", deltaTestReq)
-	if status != http.StatusOK {
-		t.Fatalf("delta explore: status %d: %s", status, got)
-	}
-	if tag := hdr.Get("X-Cache"); tag != "hit-delta" {
-		t.Fatalf("delta explore X-Cache = %q, want hit-delta", tag)
-	}
-	if got != want {
-		t.Errorf("delta-served body differs from sharded sweep")
-	}
-}
-
 // TestDeltaJobByteParity pins the async form: an explore job submitted
 // after a warm explore of the same structure is served by the delta
 // tier and returns exactly the cold synchronous bytes, and the same job

@@ -109,13 +109,10 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 }
 
 // computeExplore is the explore answer below the result cache, admitted
-// under endpoint's budget. The delta tier outranks the sharded
-// fan-out: a byte-identity miss whose requirement structure matches a
-// retained sweep is re-served incrementally (byte-identical to the
-// cold computation, cheaper than partitioning it across peers), and
-// tagged "hit-delta". States are recorded by Warmup and by non-sharded
-// cold sweeps; sharded sweeps never record (partial per-lane coverage
-// would break the evals ⊆ coverage invariant).
+// under endpoint's budget. A byte-identity miss whose requirement
+// structure matches a retained sweep is re-served by the delta tier
+// (byte-identical to the cold computation) and tagged "hit-delta";
+// anything else is a cold pruned sweep that records its delta state.
 func (s *Server) computeExplore(ctx context.Context, endpoint string, req core.Requirements) ([]byte, string, error) {
 	workers, release, err := s.admitWorkers(ctx, endpoint, s.cfg.Workers)
 	if err != nil {
@@ -127,8 +124,6 @@ func (s *Server) computeExplore(ctx context.Context, endpoint string, req core.R
 	if e := s.deltaLookup(req); e != nil {
 		resp, err = s.serveExploreDelta(ctx, e, req, workers)
 		tag = "hit-delta"
-	} else if s.shardingEnabled() {
-		resp, err = s.buildExploreSharded(ctx, req, workers)
 	} else {
 		resp, err = s.buildExploreRecorded(ctx, req, workers)
 	}

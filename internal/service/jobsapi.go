@@ -439,10 +439,9 @@ func candidateFromJSON(cj CandidateJSON) core.Candidate {
 // served by the delta tier in one step when the daemon retains an
 // eligible state, as handleExplore does. Otherwise it sweeps: the Seq
 // range is planned into partitions of at most JobCheckpointEvery
-// points, run across the local executor (and the peers, when
-// sharding is on), and folded into the checkpoint at the contiguous
-// watermark as partitions complete. A daemon killed mid-run resumes
-// from NextSeq, and a dead peer loses only its own partition.
+// points, swept in order, and each partition's result is folded into
+// the checkpoint before the next one starts. A daemon killed mid-run
+// resumes from NextSeq.
 func (s *Server) runExploreJob(req core.Requirements) jobs.RunFunc {
 	return func(ctx context.Context, h *jobs.Handle) ([]byte, error) {
 		if err := req.Validate(); err != nil {
@@ -499,51 +498,42 @@ func (s *Server) deltaExploreJob(ctx context.Context, h *jobs.Handle, e *deltaEn
 }
 
 // sweepExploreJob is the checkpointed sweep of an explore job, resumed
-// from the job's last checkpoint when it has one.
+// from the job's last checkpoint when it has one. Workers are drawn
+// from the pool per partition, so a long job holds none between
+// checkpoints.
 func (s *Server) sweepExploreJob(ctx context.Context, h *jobs.Handle, req core.Requirements) (*ExploreResponse, error) {
-	st := exploreJobState{Total: core.SweepCount(req)}
-	if raw := h.Resumed(); len(raw) > 0 {
-		if err := json.Unmarshal(raw, &st); err != nil {
-			return nil, fmt.Errorf("explore checkpoint state: %w", err)
-		}
+	st, err := resumeExploreState(req, h.Resumed())
+	if err != nil {
+		return nil, err
 	}
-	front := core.NewFrontier()
+	acc := shard.Result{Enumerated: st.Enumerated, Built: st.Built, Infeasible: st.Infeasible}
 	for _, cj := range st.Frontier {
-		front.Add(candidateFromJSON(cj))
+		acc.Frontier = append(acc.Frontier, candidateFromJSON(cj))
 	}
-
-	rctx, rcancel := context.WithCancel(ctx)
-	defer rcancel()
-	// Out-of-order partition results wait here until the contiguous
-	// prefix reaches them; only prefix-complete state is checkpointed,
-	// so NextSeq stays an exact resume point.
-	pending := map[int]shard.PartResult{}
-	var ckptErr error
-	onResult := func(p shard.Partition, r shard.Result) {
-		pending[p.From] = shard.PartResult{Partition: p, Result: r}
-		advanced := false
-		for {
-			pr, ok := pending[st.NextSeq]
-			if !ok {
-				break
-			}
-			delete(pending, st.NextSeq)
-			st.NextSeq = pr.To
-			st.Enumerated += pr.Enumerated
-			st.Built += pr.Built
-			st.Infeasible += pr.Infeasible
-			for _, c := range pr.Frontier {
-				front.Add(c)
-			}
-			advanced = true
+	// Folding the checkpointed front alone puts it in canonical order,
+	// which the response needs when no partition is left to sweep.
+	acc = shard.Merge(acc)
+	for _, p := range s.jobPlan(st.NextSeq, st.Total) {
+		workers, release, err := s.acquireWorkers(ctx, s.cfg.Workers)
+		if err != nil {
+			return nil, err
 		}
-		if !advanced || ckptErr != nil {
-			return
+		part, err := sweepPartition(ctx, req, p.From, p.To, workers)
+		release()
+		if err != nil {
+			return nil, err
 		}
-		st.Pruned = st.Built - st.Infeasible - int64(front.Size())
-		cands := front.Candidates()
-		st.Frontier = make([]CandidateJSON, len(cands))
-		for i, c := range cands {
+		acc = shard.Merge(acc, part)
+		st = exploreJobState{
+			NextSeq:    p.To,
+			Total:      st.Total,
+			Enumerated: acc.Enumerated,
+			Built:      acc.Built,
+			Infeasible: acc.Infeasible,
+			Pruned:     acc.Built - acc.Infeasible - int64(len(acc.Frontier)),
+			Frontier:   make([]CandidateJSON, len(acc.Frontier)),
+		}
+		for i, c := range acc.Frontier {
 			st.Frontier[i] = candidateJSON(c)
 		}
 		h.SetProgress(jobs.Progress{
@@ -552,56 +542,76 @@ func (s *Server) sweepExploreJob(ctx context.Context, h *jobs.Handle, req core.R
 			Built:      st.Built,
 			Infeasible: st.Infeasible,
 			Pruned:     st.Pruned,
-			FrontSize:  front.Size(),
+			FrontSize:  len(st.Frontier),
 		})
 		raw, err := json.Marshal(st)
 		if err == nil {
 			err = h.Checkpoint(raw)
 		}
 		if err != nil {
-			ckptErr = err
-			rcancel()
+			return nil, err
 		}
-	}
-	local := &localShardExec{req: req, acquire: func(ctx context.Context) (int, func(), error) {
-		return s.acquireWorkers(ctx, s.cfg.Workers)
-	}}
-	_, stats, err := shard.Run(rctx, s.shardExecutors(req, local), s.jobPlan(st.NextSeq, st.Total), shard.Options{
-		HedgeAfter: s.cfg.ShardHedgeAfter,
-		OnResult:   onResult,
-	})
-	if s.shardingEnabled() {
-		s.recordShardStats(stats)
-	}
-	if ckptErr != nil {
-		return nil, ckptErr
-	}
-	if err != nil {
-		return nil, err
 	}
 	// A cancellation that lands after the last partition still stops
 	// the job: its checkpoint is on disk for the next life.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return exploreResponseFromMerged(req, shard.Result{
-		Enumerated: st.Enumerated,
-		Built:      st.Built,
-		Infeasible: st.Infeasible,
-		Frontier:   front.Candidates(),
-	})
+	return exploreResponseFromMerged(req, acc)
 }
 
-// jobPlan partitions an explore job's remaining Seq range [from, to):
-// no partition exceeds JobCheckpointEvery points, and with sharding on
-// there are at least as many partitions as a synchronous fan-out uses.
+// resumeExploreState decodes an explore job's checkpoint, or starts
+// from Seq 0 when there is none. A checkpoint that cannot be the
+// swept prefix of req is refused: resuming it would finish with bytes
+// no cold sweep produces, and the job's result fills the explore
+// cache.
+func resumeExploreState(req core.Requirements, raw []byte) (exploreJobState, error) {
+	total := core.SweepCount(req)
+	if len(raw) == 0 {
+		return exploreJobState{Total: total}, nil
+	}
+	var st exploreJobState
+	if err := json.Unmarshal(raw, &st); err != nil {
+		return st, fmt.Errorf("explore checkpoint state: %w", err)
+	}
+	if err := st.check(total); err != nil {
+		return st, fmt.Errorf("explore checkpoint state rejected: %w", err)
+	}
+	return st, nil
+}
+
+// check reports the first invariant st breaks as the state after
+// sweeping [0, NextSeq) of a total-point sweep: every point in the
+// prefix is enumerated once, and every built point is infeasible, on
+// the front, or pruned.
+func (st *exploreJobState) check(total int) error {
+	switch {
+	case st.Total != total:
+		return fmt.Errorf("total %d, want the request's %d points", st.Total, total)
+	case st.NextSeq < 0 || st.NextSeq > st.Total:
+		return fmt.Errorf("next_seq %d outside [0, %d]", st.NextSeq, st.Total)
+	case st.Enumerated != int64(st.NextSeq):
+		return fmt.Errorf("enumerated %d, want next_seq %d", st.Enumerated, st.NextSeq)
+	case st.Infeasible < 0 || st.Infeasible > st.Built || st.Built > st.Enumerated:
+		return fmt.Errorf("counters built %d, infeasible %d: want 0 <= infeasible <= built <= enumerated %d",
+			st.Built, st.Infeasible, st.Enumerated)
+	case st.Pruned < 0 || st.Pruned != st.Built-st.Infeasible-int64(len(st.Frontier)):
+		return fmt.Errorf("pruned %d, want built - infeasible - frontier = %d",
+			st.Pruned, st.Built-st.Infeasible-int64(len(st.Frontier)))
+	}
+	for _, c := range st.Frontier {
+		if c.Seq < 0 || c.Seq >= st.NextSeq {
+			return fmt.Errorf("frontier seq %d outside the swept prefix [0, %d)", c.Seq, st.NextSeq)
+		}
+	}
+	return nil
+}
+
+// jobPlan partitions an explore job's remaining Seq range [from, to)
+// so no partition exceeds JobCheckpointEvery points.
 func (s *Server) jobPlan(from, to int) []shard.Partition {
 	every := s.cfg.JobCheckpointEvery
-	parts := (to - from + every - 1) / every
-	if s.shardingEnabled() {
-		parts = max(parts, s.shardPlanParts())
-	}
-	return shard.Plan(from, to, parts)
+	return shard.Plan(from, to, (to-from+every-1)/every)
 }
 
 // trialsJobState is the campaign runner's checkpoint: the absolute

@@ -515,9 +515,13 @@ func TestResumeRetiredDeltaJob(t *testing.T) {
 	if err := strictUnmarshal([]byte(deltaTestReq), &req); err != nil {
 		t.Fatal(err)
 	}
-	part, err := buildShard(context.Background(), ShardRequest{Explore: req, From: 0, To: 1000}, 2)
+	part, err := sweepPartition(context.Background(), req, 0, 1000, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	front := make([]CandidateJSON, len(part.Frontier))
+	for i, c := range part.Frontier {
+		front[i] = candidateJSON(c)
 	}
 	state, err := json.Marshal(exploreJobState{
 		NextSeq:    1000,
@@ -526,7 +530,7 @@ func TestResumeRetiredDeltaJob(t *testing.T) {
 		Built:      part.Built,
 		Infeasible: part.Infeasible,
 		Pruned:     part.Built - part.Infeasible - int64(len(part.Frontier)),
-		Frontier:   part.Frontier,
+		Frontier:   front,
 	})
 	if err != nil {
 		t.Fatal(err)

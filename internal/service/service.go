@@ -81,18 +81,6 @@ type Config struct {
 	// (202 + job id). 0 disables the escape hatch.
 	AsyncPointThreshold int
 
-	// Peers lists remote edramd base URLs (e.g. "http://10.0.0.2:8080")
-	// that explore sweeps fan out to via POST /v1/internal/shard.
-	Peers []string
-	// ShardParts is the explore partition count when sharding is on
-	// (default 2*(1+len(Peers)), so every executor gets work and
-	// stragglers can be rebalanced). Setting Peers or ShardParts
-	// enables the sharded explore path.
-	ShardParts int
-	// ShardHedgeAfter re-executes a still-unfinished remote partition
-	// locally after this long (0 disables hedging).
-	ShardHedgeAfter time.Duration
-
 	// CacheDir logs the result cache to a segment in this directory,
 	// so a restarted daemon serves its hot keys without recomputation
 	// ("" keeps the cache memory-only). The segment replays
@@ -141,7 +129,7 @@ func (c Config) withDefaults() Config {
 // explicit map entries over the default for every compute endpoint.
 func (c Config) endpointBudgets() map[string]int {
 	limits := map[string]int{}
-	for _, ep := range []string{"/v1/explore", "/v1/recommend", "/v1/simulate", "/v1/experiments", "/v1/scenario", "/v1/internal/shard"} {
+	for _, ep := range []string{"/v1/explore", "/v1/recommend", "/v1/simulate", "/v1/experiments", "/v1/scenario"} {
 		limits[ep] = c.DefaultEndpointBudget
 	}
 	for ep, n := range c.EndpointBudget {
@@ -181,9 +169,6 @@ type Server struct {
 	cache   *diskcache.Cache
 	diskErr error
 
-	// shardClient carries /v1/internal/shard sub-requests to peers.
-	shardClient *http.Client
-
 	// Metric handles resolved once at construction.
 	inFlight        *Gauge
 	workersInUse    *Gauge
@@ -209,15 +194,6 @@ type Server struct {
 	tierDeltaMisses *Counter
 	deltaSwept      *Counter
 	deltaReused     *Counter
-
-	// Sharded-explore counters.
-	shardExplores     *Counter
-	shardPartsLocal   *Counter
-	shardPartsRemote  *Counter
-	shardRetries      *Counter
-	shardHedges       *Counter
-	shardPeerFailures *Counter
-	shardMergeSeconds *Histogram
 
 	// computeStarted, when set (tests only), observes every cache-miss
 	// computation as it begins — the barrier the coalescing tests
@@ -257,17 +233,8 @@ func NewServer(cfg Config) *Server {
 		tierDeltaMisses: m.Counter("edramd_cache_tier_misses_total", "Cache misses by tier.", Label{"tier", "delta"}),
 		deltaSwept:      m.Counter("edramd_delta_swept_points_total", "Design points swept fresh by delta re-explorations."),
 		deltaReused:     m.Counter("edramd_delta_reused_evals_total", "Retained evaluations reused by delta re-explorations."),
-
-		shardExplores:     m.Counter("edramd_shard_explores_total", "Explore sweeps served through the sharded fan-out path."),
-		shardPartsLocal:   m.Counter("edramd_shard_partitions_total", "Accepted shard partitions by executor kind.", Label{"target", "local"}),
-		shardPartsRemote:  m.Counter("edramd_shard_partitions_total", "Accepted shard partitions by executor kind.", Label{"target", "remote"}),
-		shardRetries:      m.Counter("edramd_shard_retries_total", "Shard partitions requeued after a peer failure."),
-		shardHedges:       m.Counter("edramd_shard_hedges_total", "Local hedge executions launched against straggling remote shards."),
-		shardPeerFailures: m.Counter("edramd_shard_peer_failures_total", "Remote shard executors retired by a failure."),
-		shardMergeSeconds: m.Histogram("edramd_shard_merge_seconds", "Pareto-frontier merge latency in seconds.", DefaultLatencyBuckets),
 	}
 	s.workersCap.Set(int64(cfg.Workers))
-	s.shardClient = &http.Client{Timeout: cfg.RequestTimeout}
 	// The segment replays synchronously here, so a warm-starting daemon
 	// holds /readyz at 503 "starting" until the cache is fully rebuilt
 	// (MarkReady comes after NewServer returns).
@@ -295,7 +262,6 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/datasheet", s.handleDatasheet)
 	s.mux.HandleFunc("POST /v1/experiments", s.handleExperiments)
 	s.mux.HandleFunc("POST /v1/scenario", s.handleScenario)
-	s.mux.HandleFunc("POST /v1/internal/shard", s.handleShard)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
@@ -324,6 +290,11 @@ func (s *Server) DiskStats() diskcache.Stats { return s.cache.Stats() }
 // cached response's identity. Bumping any of them (see DESIGN.md §6)
 // changes the tag, so a snapshot written under the old schema
 // self-invalidates at open instead of replaying wrong bytes.
+//
+// shard/v1 stays in the tag list although the daemon no longer serves
+// shard sub-requests: removing it would change the tag, and segments
+// written before the retirement would be discarded instead of
+// replaying (their shard/v1 entries are simply never read).
 func CacheGeneration() string {
 	return fmt.Sprintf("edram/gen|schema=%d|tags=req/v2,spec/v2,proc/v1,sim/v2,exp/v2,scn/v1,job/v1,trials/v1,shard/v1",
 		SchemaVersion)
@@ -419,17 +390,16 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // series (each a permanent counter + histogram), so unmatched paths
 // collapse into one "other" bucket.
 var knownEndpoints = map[string]bool{
-	"/healthz":           true,
-	"/readyz":            true,
-	"/metrics":           true,
-	"/v1/explore":        true,
-	"/v1/recommend":      true,
-	"/v1/simulate":       true,
-	"/v1/datasheet":      true,
-	"/v1/experiments":    true,
-	"/v1/scenario":       true,
-	"/v1/jobs":           true,
-	"/v1/internal/shard": true,
+	"/healthz":        true,
+	"/readyz":         true,
+	"/metrics":        true,
+	"/v1/explore":     true,
+	"/v1/recommend":   true,
+	"/v1/simulate":    true,
+	"/v1/datasheet":   true,
+	"/v1/experiments": true,
+	"/v1/scenario":    true,
+	"/v1/jobs":        true,
 }
 
 // endpointLabel normalizes a request path to the known route set.

@@ -267,6 +267,23 @@ func BuildExplore(ctx context.Context, req core.Requirements, workers int, progr
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
+	res, err := sweep(ctx, req, workers, progress, extra...)
+	if err != nil {
+		return nil, err
+	}
+	return exploreResponseFromMerged(req, res)
+}
+
+// sweepPartition sweeps the absolute-Seq slice [from, to) of req's
+// design space: the partition's folded counters and its local Pareto
+// front, ready to Merge. An explore job folds one per checkpoint.
+func sweepPartition(ctx context.Context, req core.Requirements, from, to, workers int) (shard.Result, error) {
+	return sweep(ctx, req, workers, nil, core.WithSeqRange(from, to))
+}
+
+// sweep runs the constraint-pruned engine over req with the extra
+// options and folds its output into merge form.
+func sweep(ctx context.Context, req core.Requirements, workers int, progress func(core.ExploreStats), extra ...core.ExploreOption) (shard.Result, error) {
 	var final core.ExploreStats
 	opts := []core.ExploreOption{
 		core.WithWorkers(workers),
@@ -283,16 +300,16 @@ func BuildExplore(ctx context.Context, req core.Requirements, workers int, progr
 	opts = append(opts, extra...)
 	ch, err := core.ExploreContext(ctx, req, opts...)
 	if err != nil {
-		return nil, err
+		return shard.Result{}, err
 	}
 	front := core.NewFrontier()
 	for c := range ch {
 		front.Add(c)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return shard.Result{}, err
 	}
-	return exploreResponseFromMerged(req, foldedResult(final, front.Candidates()))
+	return foldedResult(final, front.Candidates()), nil
 }
 
 // BuildExploreDelta assembles the /v1/explore response for req from a
@@ -330,8 +347,8 @@ func foldedResult(st core.ExploreStats, frontier []core.Candidate) shard.Result 
 var errNoBuildable = errors.New("no buildable configuration")
 
 // exploreResponseFromMerged is the one builder of explore responses:
-// every path — the undivided sweep, the delta tier, the sharded
-// fan-out and the checkpointed job — folds its work into a merged
+// every path — the undivided sweep, the delta tier and the
+// checkpointed job — folds its work into a merged
 // result and assembles the wire form here. Pruned is recovered from
 // the exact identity Pruned = Built − Infeasible − len(Frontier):
 // every built candidate is infeasible, on the final front, or was

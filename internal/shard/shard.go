@@ -1,48 +1,24 @@
-// Package shard partitions an explore's absolute-Seq range across a
-// set of executors — in-process worker shards and/or remote edramd
-// peers — and merges the partial Pareto frontiers back into a result
-// byte-identical to the single-process sweep.
+// Package shard cuts an explore's absolute-Seq range into contiguous
+// partitions and folds the per-partition results back into a result
+// byte-identical to the undivided sweep. Explore jobs sweep their
+// partitions in order and checkpoint the fold after each one.
 //
 // Exactness, not approximation: the sweep enumerates candidates by an
 // absolute sequence number, so contiguous [From,To) partitions cover
 // the space without overlap, and dominance is a strict partial order,
 // so merging per-partition fronts through a fresh Frontier yields
 // exactly the global front regardless of partition boundaries or
-// arrival order. The parity and associativity tests in
-// internal/service pin this down byte-for-byte.
-//
-// Fault model: a remote executor that fails mid-partition is retired
-// and its partition requeued to the surviving executors (a dead peer
-// loses only its own partition's work); an optional hedge re-runs a
-// straggling remote partition locally and takes whichever finishes
-// first. Local executor failures are fatal — they mean the computation
-// itself is broken, not the transport.
+// merge order. The associativity test in internal/service pins this
+// down byte-for-byte.
 package shard
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"edram/internal/core"
-)
-
-// Executor kinds, used for fan-out accounting and hedge policy.
-const (
-	KindLocal  = "local"
-	KindRemote = "remote"
-)
+import "edram/internal/core"
 
 // Partition is one contiguous absolute-Seq slice [From, To) of the
 // sweep.
 type Partition struct {
-	Index int
-	From  int
-	To    int
+	From int
+	To   int
 }
 
 // Plan splits [from, to) into at most parts near-equal contiguous
@@ -64,7 +40,7 @@ func Plan(from, to, parts int) []Partition {
 		if i < extra {
 			size++
 		}
-		out = append(out, Partition{Index: i, From: next, To: next + size})
+		out = append(out, Partition{From: next, To: next + size})
 		next += size
 	}
 	return out
@@ -80,270 +56,12 @@ type Result struct {
 	Frontier   []core.Candidate
 }
 
-// PartResult pairs a partition with its result.
-type PartResult struct {
-	Partition
-	Result
-}
-
-// Executor runs one partition of the sweep somewhere.
-type Executor interface {
-	// Kind returns KindLocal or KindRemote.
-	Kind() string
-	// Execute sweeps the partition. It must honor ctx cancellation.
-	Execute(ctx context.Context, p Partition) (Result, error)
-}
-
-// Stats describes one Run's fan-out behavior.
-type Stats struct {
-	// Partitions is the plan size; Local/Remote count partitions whose
-	// accepted result came from that executor kind.
-	Partitions int64
-	Local      int64
-	Remote     int64
-	// Retries counts partitions requeued after a remote failure;
-	// Hedges counts local re-executions launched against stragglers;
-	// PeerFailures counts remote executors retired by a failure.
-	Retries      int64
-	Hedges       int64
-	PeerFailures int64
-}
-
-// Options tunes a Run.
-type Options struct {
-	// HedgeAfter launches a local re-execution of a remote partition
-	// still unfinished after this long (0 disables hedging; hedging
-	// also requires at least one local executor).
-	HedgeAfter time.Duration
-	// OnResult, when set, observes each partition result as it is
-	// accepted. Calls are serialized on the coordinating goroutine —
-	// this is the sharded job runner's checkpoint hook.
-	OnResult func(Partition, Result)
-}
-
-type counters struct {
-	local, remote, retries, hedges, peerFailures atomic.Int64
-}
-
-type laneResult struct {
-	pr   PartResult
-	kind string
-}
-
-// Run executes every partition across the executors with bounded
-// fan-out (one in-flight partition per executor), requeuing partitions
-// from failed remotes onto the survivors, and returns the accepted
-// results sorted by Partition.From.
-func Run(ctx context.Context, execs []Executor, parts []Partition, o Options) ([]PartResult, Stats, error) {
-	stats := Stats{Partitions: int64(len(parts))}
-	if len(parts) == 0 {
-		return nil, stats, nil
-	}
-	if len(execs) == 0 {
-		return nil, stats, errors.New("shard: no executors")
-	}
-
-	ictx, icancel := context.WithCancel(ctx)
-	defer icancel()
-
-	// The queue holds every not-yet-accepted partition; its capacity is
-	// the partition count, so a requeue can never block.
-	queue := make(chan Partition, len(parts))
-	for _, p := range parts {
-		queue <- p
-	}
-	results := make(chan laneResult, len(parts))
-	fatal := make(chan error, len(execs))
-
-	// A hedge needs a local executor to re-run the partition on.
-	var hedge Executor
-	for _, ex := range execs {
-		if ex.Kind() == KindLocal {
-			hedge = ex
-			break
-		}
-	}
-
-	var cnt counters
-	var wg sync.WaitGroup
-	for _, ex := range execs {
-		wg.Add(1)
-		go func(ex Executor) {
-			defer wg.Done()
-			lane(ictx, ex, hedge, o, &cnt, queue, results, fatal)
-		}(ex)
-	}
-	lanesDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(lanesDone)
-	}()
-
-	out := make([]PartResult, 0, len(parts))
-	deliver := func(lr laneResult) {
-		if lr.kind == KindRemote {
-			cnt.remote.Add(1)
-		} else {
-			cnt.local.Add(1)
-		}
-		if o.OnResult != nil {
-			o.OnResult(lr.pr.Partition, lr.pr.Result)
-		}
-		out = append(out, lr.pr)
-	}
-	finish := func() Stats {
-		stats.Local = cnt.local.Load()
-		stats.Remote = cnt.remote.Load()
-		stats.Retries = cnt.retries.Load()
-		stats.Hedges = cnt.hedges.Load()
-		stats.PeerFailures = cnt.peerFailures.Load()
-		return stats
-	}
-
-	lanesExited := false
-	for len(out) < len(parts) {
-		if lanesExited {
-			// Lanes are gone; accept whatever they buffered, then fail
-			// over whatever is left unserved.
-			select {
-			case lr := <-results:
-				deliver(lr)
-				continue
-			default:
-			}
-			return nil, finish(), fmt.Errorf("shard: %d of %d partitions unserved: all executors failed",
-				len(parts)-len(out), len(parts))
-		}
-		select {
-		case <-ctx.Done():
-			icancel()
-			wg.Wait()
-			return nil, finish(), ctx.Err()
-		case err := <-fatal:
-			icancel()
-			wg.Wait()
-			return nil, finish(), fmt.Errorf("shard: %w", err)
-		case lr := <-results:
-			deliver(lr)
-		case <-lanesDone:
-			lanesExited = true
-		}
-	}
-	icancel()
-	wg.Wait()
-	sort.Slice(out, func(i, j int) bool { return out[i].From < out[j].From })
-	return out, finish(), nil
-}
-
-// lane pulls partitions off the queue and executes them on one
-// executor until the run is cancelled or the executor is retired by a
-// failure.
-func lane(ctx context.Context, ex, hedge Executor, o Options, cnt *counters,
-	queue chan Partition, results chan<- laneResult, fatal chan<- error) {
-	for {
-		var p Partition
-		select {
-		case <-ctx.Done():
-			return
-		case p = <-queue:
-		}
-		r, kind, err := runOne(ctx, ex, hedge, o, cnt, p)
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			if ex.Kind() == KindRemote {
-				// Retire the peer; its partition goes back to the
-				// survivors. The queue's capacity covers every
-				// outstanding partition, so this never blocks.
-				cnt.peerFailures.Add(1)
-				cnt.retries.Add(1)
-				queue <- p
-				return
-			}
-			// A local failure is the computation failing, not a
-			// transport fault — fail the whole run.
-			select {
-			case fatal <- fmt.Errorf("partition [%d,%d): %w", p.From, p.To, err):
-			case <-ctx.Done():
-			}
-			return
-		}
-		select {
-		case results <- laneResult{pr: PartResult{Partition: p, Result: r}, kind: kind}:
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// runOne executes a partition, optionally hedging a straggling remote
-// against the local executor; it returns the winning executor's kind.
-func runOne(ctx context.Context, ex, hedge Executor, o Options, cnt *counters, p Partition) (Result, string, error) {
-	if ex.Kind() != KindRemote || o.HedgeAfter <= 0 || hedge == nil {
-		r, err := ex.Execute(ctx, p)
-		return r, ex.Kind(), err
-	}
-	hctx, hcancel := context.WithCancel(ctx)
-	defer hcancel()
-	type arm struct {
-		r    Result
-		kind string
-		err  error
-	}
-	ch := make(chan arm, 2)
-	var hwg sync.WaitGroup
-	launch := func(e Executor) {
-		hwg.Add(1)
-		go func() {
-			defer hwg.Done()
-			r, err := e.Execute(hctx, p)
-			ch <- arm{r: r, kind: e.Kind(), err: err}
-		}()
-	}
-	launch(ex)
-	timer := time.NewTimer(o.HedgeAfter)
-	defer timer.Stop()
-	pending, hedged := 1, false
-	var firstErr error
-	for {
-		select {
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				pending++
-				cnt.hedges.Add(1)
-				launch(hedge)
-			}
-		case a := <-ch:
-			if a.err == nil {
-				hcancel()
-				hwg.Wait()
-				return a.r, a.kind, nil
-			}
-			pending--
-			if firstErr == nil {
-				firstErr = a.err
-			}
-			if pending == 0 {
-				hcancel()
-				hwg.Wait()
-				return Result{}, ex.Kind(), firstErr
-			}
-		case <-ctx.Done():
-			hcancel()
-			hwg.Wait()
-			return Result{}, ex.Kind(), ctx.Err()
-		}
-	}
-}
-
 // Merge folds partition results into the union result: counters sum
 // and the partial fronts merge through a fresh Frontier. Dominance is
 // a strict partial order, so the merged front is exactly the front the
 // undivided sweep produces, independent of partition boundaries and
 // merge order — the associativity the property tests pin.
-func Merge(results []PartResult) Result {
+func Merge(results ...Result) Result {
 	var out Result
 	front := core.NewFrontier()
 	for i := range results {

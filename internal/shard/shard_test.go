@@ -1,14 +1,9 @@
 package shard
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"edram/internal/core"
 	"edram/internal/testleak"
@@ -29,7 +24,7 @@ func TestPlanCoversRangeExactly(t *testing.T) {
 		}
 		next := tc.from
 		for i, p := range parts {
-			if p.Index != i || p.From != next || p.To <= p.From {
+			if p.From != next || p.To <= p.From {
 				t.Fatalf("Plan(%d,%d,%d)[%d] = %+v, want contiguous from %d",
 					tc.from, tc.to, tc.parts, i, p, next)
 			}
@@ -98,17 +93,17 @@ func TestMergeMatchesSingleFrontier(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		nparts := 1 + rng.Intn(9)
 		parts := Plan(0, len(pop), nparts)
-		var prs []PartResult
+		var prs []Result
 		for _, p := range parts {
 			local := core.NewFrontier()
 			for _, c := range pop[p.From:p.To] {
 				local.Add(c)
 			}
-			prs = append(prs, PartResult{Partition: p, Result: Result{Frontier: local.Candidates()}})
+			prs = append(prs, Result{Frontier: local.Candidates()})
 		}
 		// Merge order must not matter either.
 		rng.Shuffle(len(prs), func(i, j int) { prs[i], prs[j] = prs[j], prs[i] })
-		got := Merge(prs).Frontier
+		got := Merge(prs...).Frontier
 		if len(got) != len(want) {
 			t.Fatalf("trial %d (%d parts): merged front has %d members, want %d", trial, nparts, len(got), len(want))
 		}
@@ -120,179 +115,12 @@ func TestMergeMatchesSingleFrontier(t *testing.T) {
 	}
 }
 
-type fakeExec struct {
-	kind string
-	run  func(ctx context.Context, p Partition) (Result, error)
-}
-
-func (f *fakeExec) Kind() string { return f.kind }
-func (f *fakeExec) Execute(ctx context.Context, p Partition) (Result, error) {
-	return f.run(ctx, p)
-}
-
-func sweepFake(p Partition) Result {
-	return Result{Enumerated: int64(p.To - p.From)}
-}
-
-func TestRunCompletesAcrossExecutors(t *testing.T) {
-	local := &fakeExec{kind: KindLocal, run: func(_ context.Context, p Partition) (Result, error) {
-		return sweepFake(p), nil
-	}}
-	remote := &fakeExec{kind: KindRemote, run: func(_ context.Context, p Partition) (Result, error) {
-		return sweepFake(p), nil
-	}}
-	parts := Plan(0, 100, 6)
-	var observed atomic.Int64
-	out, stats, err := Run(context.Background(), []Executor{local, remote}, parts, Options{
-		OnResult: func(Partition, Result) { observed.Add(1) },
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(out) != len(parts) || observed.Load() != int64(len(parts)) {
-		t.Fatalf("got %d results, %d observed; want %d", len(out), observed.Load(), len(parts))
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i].From < out[i-1].From {
-			t.Fatal("results not sorted by From")
-		}
-	}
-	if stats.Local+stats.Remote != int64(len(parts)) || stats.Partitions != int64(len(parts)) {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if total := Merge(out); total.Enumerated != 100 {
-		t.Fatalf("merged Enumerated = %d, want 100", total.Enumerated)
-	}
-}
-
-func TestRunRequeuesDeadPeerPartition(t *testing.T) {
-	// The local lane waits for the remote to grab a partition and die,
-	// so the requeue path runs on every schedule.
-	remoteFailed := make(chan struct{})
-	var failOnce sync.Once
-	local := &fakeExec{kind: KindLocal, run: func(ctx context.Context, p Partition) (Result, error) {
-		select {
-		case <-remoteFailed:
-		case <-ctx.Done():
-			return Result{}, ctx.Err()
-		}
-		return sweepFake(p), nil
-	}}
-	dead := &fakeExec{kind: KindRemote, run: func(_ context.Context, _ Partition) (Result, error) {
-		failOnce.Do(func() { close(remoteFailed) })
-		return Result{}, errors.New("connection refused")
-	}}
-	parts := Plan(0, 60, 4)
-	out, stats, err := Run(context.Background(), []Executor{local, dead}, parts, Options{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(out) != len(parts) {
-		t.Fatalf("got %d results, want %d", len(out), len(parts))
-	}
-	if stats.PeerFailures == 0 || stats.Retries == 0 {
-		t.Fatalf("stats = %+v, want peer failure + retry recorded", stats)
-	}
-	if stats.Local != int64(len(parts)) {
-		t.Fatalf("stats = %+v, want every partition served locally", stats)
-	}
-}
-
-func TestRunFailsWhenAllExecutorsDie(t *testing.T) {
-	boom := func(_ context.Context, _ Partition) (Result, error) {
-		return Result{}, errors.New("unreachable")
-	}
-	execs := []Executor{
-		&fakeExec{kind: KindRemote, run: boom},
-		&fakeExec{kind: KindRemote, run: boom},
-	}
-	_, _, err := Run(context.Background(), execs, Plan(0, 40, 4), Options{})
-	if err == nil {
-		t.Fatal("Run succeeded with every executor failing")
-	}
-}
-
-func TestRunLocalFailureIsFatal(t *testing.T) {
-	wantErr := errors.New("model blew up")
-	local := &fakeExec{kind: KindLocal, run: func(_ context.Context, _ Partition) (Result, error) {
-		return Result{}, wantErr
-	}}
-	_, _, err := Run(context.Background(), []Executor{local}, Plan(0, 40, 4), Options{})
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("Run error = %v, want %v", err, wantErr)
-	}
-}
-
-func TestRunHedgesStragglingRemote(t *testing.T) {
-	// The local lane waits until the remote is holding a partition, so
-	// at least one partition can only finish through the hedge.
-	remoteStarted := make(chan struct{})
-	var startOnce sync.Once
-	local := &fakeExec{kind: KindLocal, run: func(ctx context.Context, p Partition) (Result, error) {
-		select {
-		case <-remoteStarted:
-		case <-ctx.Done():
-			return Result{}, ctx.Err()
-		}
-		return sweepFake(p), nil
-	}}
-	// The remote never answers; only the hedge can finish its
-	// partitions.
-	stuck := &fakeExec{kind: KindRemote, run: func(ctx context.Context, _ Partition) (Result, error) {
-		startOnce.Do(func() { close(remoteStarted) })
-		<-ctx.Done()
-		return Result{}, ctx.Err()
-	}}
-	parts := Plan(0, 40, 4)
-	out, stats, err := Run(context.Background(), []Executor{local, stuck}, parts, Options{
-		HedgeAfter: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(out) != len(parts) {
-		t.Fatalf("got %d results, want %d", len(out), len(parts))
-	}
-	if stats.Hedges == 0 {
-		t.Fatalf("stats = %+v, want hedges recorded", stats)
-	}
-	if stats.Local != int64(len(parts)) || stats.Remote != 0 {
-		t.Fatalf("stats = %+v, want hedged partitions accepted from the local arm", stats)
-	}
-}
-
-func TestRunHonorsContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{}, 16)
-	slow := &fakeExec{kind: KindLocal, run: func(ctx context.Context, _ Partition) (Result, error) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-ctx.Done()
-		return Result{}, ctx.Err()
-	}}
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := Run(ctx, []Executor{slow}, Plan(0, 40, 4), Options{})
-		done <- err
-	}()
-	<-started
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run error = %v, want context.Canceled", err)
-	}
-}
-
 func TestMergeSumsCounters(t *testing.T) {
-	var prs []PartResult
+	var prs []Result
 	for i := 0; i < 3; i++ {
-		prs = append(prs, PartResult{
-			Partition: Partition{Index: i, From: i * 10, To: i*10 + 10},
-			Result:    Result{Enumerated: 10, Built: 8, Infeasible: int64(i)},
-		})
+		prs = append(prs, Result{Enumerated: 10, Built: 8, Infeasible: int64(i)})
 	}
-	got := Merge(prs)
+	got := Merge(prs...)
 	want := fmt.Sprintf("%d/%d/%d", 30, 24, 3)
 	if g := fmt.Sprintf("%d/%d/%d", got.Enumerated, got.Built, got.Infeasible); g != want {
 		t.Fatalf("Merge counters = %s, want %s", g, want)
