@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-audit lint-sarif lint-baseline race jobs-stress bench bench-compare fuzz fuzz-smoke serve-smoke load-smoke perfbench-check scenarios check
+.PHONY: build test vet lint lint-audit lint-sarif lint-baseline race jobs-stress bench bench-compare fuzz fuzz-smoke serve-smoke load-smoke perfbench-check scenarios check loc
 
 build:
 	$(GO) build ./...
@@ -78,9 +78,10 @@ bench-compare: bench
 	$(GO) run ./cmd/benchdiff -compare -time-tol $(BENCH_TIME_TOL) -alloc-tol $(BENCH_ALLOC_TOL) $(BENCH_BASE) $(BENCH_OUT)
 
 # fuzz runs the cell-array fuzzer with a real time budget; fuzz-smoke
-# only replays the seed corpora (no -fuzz) of the cell-array fuzzer and
-# of the explore-job checkpoint decoder (internal/service/testdata/fuzz),
-# which is cheap enough to sit on the tier-1 path.
+# only replays the seed corpora (no -fuzz) of the cell-array fuzzer, of
+# the explore-job checkpoint decoder and of the requirements request
+# decoder and canonical key (internal/service/testdata/fuzz), which is
+# cheap enough to sit on the tier-1 path.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzArrayReadWrite -fuzztime $(FUZZTIME) ./internal/dram/
@@ -125,3 +126,13 @@ check: build vet lint lint-audit race jobs-stress fuzz-smoke serve-smoke load-sm
 # internal/scenario loader (the same path POST /v1/scenario takes).
 scenarios:
 	$(GO) run ./cmd/edramx -scenario-validate examples/scenarios
+
+# loc prints the non-test, non-blank, non-comment Go lines of every
+# package directory under internal/ and cmd/ (analyzer fixtures under
+# testdata included), then their total — the one line count to quote
+# when a change says how much code it added or removed.
+loc:
+	@total=0; for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
+		n=$$(cat $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go') | grep -cv '^\s*\(//.*\)\?$$'); \
+		printf '%7d %s\n' $$n $$d; total=$$((total + n)); \
+	done; printf '%7d total\n' $$total

@@ -138,14 +138,13 @@ func main() {
 	}
 	front := core.NewFrontier()
 	var nearest core.Candidate
-	nearestSet := false
 	for c := range ch {
 		if c.Feasible {
 			front.Add(c)
 			continue
 		}
-		if !nearestSet || len(c.Reasons) < len(nearest.Reasons) {
-			nearest, nearestSet = c, true
+		if core.CloserMiss(&c, &nearest) {
+			nearest = c
 		}
 	}
 	if final.TotalBuilt() == 0 {

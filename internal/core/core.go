@@ -156,7 +156,7 @@ func canonFloat(v float64) string {
 // Candidate is one evaluated point of the design space.
 type Candidate struct {
 	// Seq is the candidate's position in canonical enumeration order
-	// (assigned by Sweep); it makes results comparable across runs no
+	// (assigned by the sweep); it makes results comparable across runs no
 	// matter which worker evaluated them.
 	Seq   int
 	Spec  edram.Spec
@@ -305,12 +305,12 @@ func Explore(req Requirements) ([]Candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Seq values are unique positions in [0, sweepCount), so canonical
+	// Seq values are unique positions in [0, SweepCount), so canonical
 	// order is restored by placing each candidate at its Seq slot and
 	// compacting over the unbuildable gaps — O(n) with one exactly-sized
 	// allocation, instead of append-doubling plus a reflective sort that
 	// both churn the ~300-byte Candidate struct.
-	buf := make([]Candidate, sweepCount(req, resolveProcesses(req)))
+	buf := make([]Candidate, SweepCount(req))
 	n := 0
 	for c := range ch {
 		buf[c.Seq] = c

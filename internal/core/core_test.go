@@ -371,3 +371,28 @@ func TestNearestMissReporting(t *testing.T) {
 		t.Errorf("error should carry the nearest-miss reason: %v", err)
 	}
 }
+
+// TestCloserMissTieBreak pins the nearest-miss rule: fewer reasons
+// win, and equal counts go to the lower Seq whatever the arrival
+// order, so a multi-worker stream names the same miss every run.
+func TestCloserMissTieBreak(t *testing.T) {
+	one := func(seq int, reason string) Candidate {
+		return Candidate{Seq: seq, Reasons: []string{reason}}
+	}
+	two := Candidate{Seq: 1, Reasons: []string{"a", "b"}}
+	early, late := one(7, "power 211 mW > cap 5"), one(40, "power 205 mW > cap 5")
+	for _, order := range [][]Candidate{{two, late, early}, {early, late, two}, {late, two, early}} {
+		var nearest Candidate
+		for i := range order {
+			if CloserMiss(&order[i], &nearest) {
+				nearest = order[i]
+			}
+		}
+		if nearest.Seq != early.Seq {
+			t.Errorf("order %v: nearest miss Seq %d, want %d", order, nearest.Seq, early.Seq)
+		}
+	}
+	if !CloserMiss(&two, &Candidate{}) {
+		t.Error("a miss must beat the empty nearest")
+	}
+}

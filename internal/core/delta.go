@@ -26,8 +26,8 @@ import (
 // pointEval is the retained evaluation of one built sweep point: the
 // exact metric floats every feasibility comparison and dominance test
 // reads. Everything else about the candidate is reconstructed on demand
-// from its Seq (pointAt + the unmemoized evaluate, byte-identical to
-// the sweep's memoized path).
+// from its Seq (space.point + the unmemoized evaluate, byte-identical
+// to the sweep's memoized path).
 type pointEval struct {
 	seq                                 int
 	area, power, cost, sustained, clock float64
@@ -50,8 +50,7 @@ const deltaGapTolerance = 1024
 type DeltaState struct {
 	req      Requirements
 	key      string
-	procs    []tech.Process
-	total    int
+	space    *space
 	evals    []pointEval // sorted by seq once sealed
 	coverage []seqRange  // sorted, disjoint
 	sealed   bool
@@ -65,12 +64,10 @@ func NewDeltaState(req Requirements) (*DeltaState, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	procs := resolveProcesses(req)
 	return &DeltaState{
 		req:   req,
 		key:   req.StructuralKey(),
-		procs: procs,
-		total: sweepCount(req, procs),
+		space: newSpace(req, resolveProcesses(req)),
 	}, nil
 }
 
@@ -105,8 +102,7 @@ func (s *DeltaState) Observe(c Candidate) {
 // enumerated intervals of a pruned full sweep of its requirements.
 // Call it only after the explore ran to completion.
 func (s *DeltaState) Seal() {
-	plan := newPrunePlan(s.req, s.procs)
-	s.coverage = plan.enumerated(0, s.total)
+	s.coverage = newPrunePlan(s.req, s.space).enumerated(0, s.space.total)
 	sort.Slice(s.evals, func(i, j int) bool { return s.evals[i].seq < s.evals[j].seq })
 	// Drop evaluations outside the coverage intervals (a recording fed
 	// from an unpruned run observes points inside skipped subspaces):
@@ -162,8 +158,8 @@ func DeltaExplore(ctx context.Context, s *DeltaState, newReq Requirements, worke
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	newPlan := newPrunePlan(newReq, s.procs)
-	needed := newPlan.enumerated(0, s.total)
+	newPlan := newPrunePlan(newReq, s.space)
+	needed := newPlan.enumerated(0, s.space.total)
 	missing := coalesceRanges(subtractRanges(needed, s.coverage), deltaGapTolerance)
 
 	// Sweep the intervals no prior run covered. The sweep runs under
@@ -250,7 +246,7 @@ func DeltaExplore(ctx context.Context, s *DeltaState, newReq Requirements, worke
 	members := front.Candidates()
 	out := make([]Candidate, 0, len(members))
 	for _, m := range members {
-		pt := pointAt(newReq, s.procs, m.Seq)
+		pt := s.space.point(m.Seq)
 		c, err := evaluate(pt.Spec, pt.Macros, newReq, e, ce)
 		if err != nil {
 			return nil, fmt.Errorf("core: delta materialization of seq %d: %v", m.Seq, err)
@@ -259,10 +255,10 @@ func DeltaExplore(ctx context.Context, s *DeltaState, newReq Requirements, worke
 		out = append(out, c)
 	}
 
-	skipped, skippedBuildable := newPlan.tally(0, s.total)
+	skipped, skippedBuildable := newPlan.tally(0, s.space.total)
 	res := &DeltaResult{
 		Stats: ExploreStats{
-			Enumerated:       int64(s.total) - skipped,
+			Enumerated:       int64(s.space.total) - skipped,
 			Built:            built,
 			Infeasible:       built - feasible,
 			Skipped:          skipped,

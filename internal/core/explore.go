@@ -1,7 +1,7 @@
 // Parallel design-space exploration engine. The paper's study spans
 // interface width × banks × page length × block size × redundancy ×
-// process (§3); Sweep enumerates that space into a channel of Points,
-// and ExploreContext evaluates them on a worker pool, streaming every
+// process (§3); space lays that product out as Seq numbers, and
+// ExploreContext evaluates its points on a worker pool, streaming every
 // buildable Candidate to the caller while an incremental Pareto front
 // prunes dominated designs as results arrive. Explore/Recommend in
 // core.go are thin compatibility wrappers over this engine.
@@ -39,44 +39,117 @@ type Point struct {
 // otherwise rival the few-µs evaluation time of one candidate.
 const sweepBatch = 32
 
-// The sweep's free dimensions (§3). sweepBatchesOver enumerates the
-// cross product of these tables; sweepCount sizes result buffers from
-// the same tables so the two cannot drift apart.
+// The sweep's free dimensions (§3), one table per Seq digit. space is
+// the only code that turns these tables into Seq numbers and back.
 var (
-	sweepMacroOrgs = []int{1, 2}
-	sweepPageMults = []int{4, 8, 16}
-	sweepBlockBits = []int{geom.Block256K, geom.Block1M}
-	sweepRedLevels = []edram.RedundancyLevel{edram.RedundancyNone, edram.RedundancyLow, edram.RedundancyStd, edram.RedundancyHigh}
-	sweepECCModes  = []reliab.ECC{reliab.ECCNone, reliab.ECCSECDED}
+	sweepMacroOrgs  = []int{1, 2}
+	sweepIfaceBits  = []int{16, 32, 64, 128, 256, 512}
+	sweepBankCounts = []int{1, 2, 4, 8}
+	sweepPageMults  = []int{4, 8, 16}
+	sweepBlockBits  = []int{geom.Block256K, geom.Block1M}
+	sweepRedLevels  = []edram.RedundancyLevel{edram.RedundancyNone, edram.RedundancyLow, edram.RedundancyStd, edram.RedundancyHigh}
+	sweepECCModes   = []reliab.ECC{reliab.ECCNone, reliab.ECCSECDED}
 )
 
-// Interface width and bank count are geometric ranges, not tables.
+// The Seq digits, most significant first: a point's Seq is its
+// mixed-radix position in org × iface × banks × page × block ×
+// redundancy × ECC × process.
 const (
-	sweepIfaceMin = 16
-	sweepIfaceMax = 512
-	sweepBanksMax = 8
+	digitOrg = iota
+	digitIface
+	digitBanks
+	digitPage
+	digitBlock
+	digitRed
+	digitECC
+	digitProc
+	numDigits
 )
 
-// sweepCount returns the exact number of points Sweep enumerates for
-// the requirements over the resolved process slice — every Point.Seq
-// lies in [0, sweepCount).
-func sweepCount(req Requirements, procs []tech.Process) int {
-	ifaces, banks := 0, 0
-	for v := sweepIfaceMin; v <= sweepIfaceMax; v *= 2 {
-		ifaces++
-	}
-	for v := 1; v <= sweepBanksMax; v *= 2 {
-		banks++
-	}
-	per := ifaces * banks * len(sweepPageMults) * len(sweepBlockBits) *
-		len(sweepRedLevels) * len(sweepECCModes) * len(procs)
-	n := 0
+// space is the Seq layout of one explore: the macro organizations the
+// capacity splits evenly across, the resolved process slice, and the
+// stride of every digit. It is the single owner of the Seq ↔ Point
+// mapping — the enumerator, the prune plan and delta materialization
+// all decode through it.
+type space struct {
+	capacity int
+	orgs     []int
+	procs    []tech.Process
+	radix    [numDigits]int
+	stride   [numDigits]int
+	total    int // every Seq lies in [0, total)
+}
+
+// newSpace lays out the design space of the requirements over the
+// resolved process slice.
+func newSpace(req Requirements, procs []tech.Process) *space {
+	s := &space{capacity: req.CapacityMbit, procs: procs}
 	for _, m := range sweepMacroOrgs {
-		if m > 0 && req.CapacityMbit%m == 0 {
-			n += per
+		if req.CapacityMbit%m == 0 {
+			s.orgs = append(s.orgs, m)
 		}
 	}
-	return n
+	s.radix = [numDigits]int{len(s.orgs), len(sweepIfaceBits), len(sweepBankCounts), len(sweepPageMults),
+		len(sweepBlockBits), len(sweepRedLevels), len(sweepECCModes), len(procs)}
+	s.total = 1
+	for d := numDigits - 1; d >= 0; d-- {
+		s.stride[d] = s.total
+		s.total *= s.radix[d]
+	}
+	return s
+}
+
+// digits splits a Seq in [0, total) into its digit indices.
+func (s *space) digits(seq int) (d [numDigits]int) {
+	for i, st := range s.stride {
+		d[i], seq = seq/st, seq%st
+	}
+	return d
+}
+
+// point decodes a Seq in [0, total) into its design point.
+func (s *space) point(seq int) Point {
+	d := s.digits(seq)
+	return s.at(seq, &d)
+}
+
+// walk calls yield with the points of [from, to) in order, decoding
+// only from and stepping the digits from there, and reports whether
+// yield accepted every point.
+func (s *space) walk(from, to int, yield func(Point) bool) bool {
+	d := s.digits(from)
+	for seq := from; seq < to; seq++ {
+		if !yield(s.at(seq, &d)) {
+			return false
+		}
+		for i := numDigits - 1; i >= 0; i-- {
+			if d[i]++; d[i] < s.radix[i] {
+				break
+			}
+			d[i] = 0
+		}
+	}
+	return true
+}
+
+// at is the point with the given Seq and digits.
+func (s *space) at(seq int, d *[numDigits]int) Point {
+	macros := s.orgs[d[digitOrg]]
+	iface := sweepIfaceBits[d[digitIface]]
+	return Point{
+		Seq:    seq,
+		Macros: macros,
+		Spec: edram.Spec{
+			CapacityMbit:  s.capacity / macros,
+			InterfaceBits: iface,
+			Banks:         sweepBankCounts[d[digitBanks]],
+			PageBits:      iface * sweepPageMults[d[digitPage]],
+			BlockBits:     sweepBlockBits[d[digitBlock]],
+			Redundancy:    sweepRedLevels[d[digitRed]],
+			ECC:           sweepECCModes[d[digitECC]],
+			Process:       &s.procs[d[digitProc]],
+		},
+	}
 }
 
 // resolveProcesses returns the explore's process slice: the request's,
@@ -90,17 +163,12 @@ func resolveProcesses(req Requirements) []tech.Process {
 	return []tech.Process{tech.Siemens024()}
 }
 
-// SweepCount is the total number of points Sweep enumerates for the
-// requirements — the exclusive upper bound of every Point.Seq. It is
-// the denominator of explore progress reporting and the range limit of
+// SweepCount is the number of points in the requirements' design
+// space — the exclusive upper bound of every Point.Seq. It is the
+// denominator of explore progress reporting and the range limit of
 // checkpointed (range-partitioned) explores.
 func SweepCount(req Requirements) int {
-	return sweepCount(req, resolveProcesses(req))
-}
-
-// sweepBatches is the batched form of Sweep the worker pool consumes.
-func sweepBatches(ctx context.Context, req Requirements) (<-chan *[]Point, error) {
-	return sweepBatchesOver(ctx, req, resolveProcesses(req), 0, maxSeq, nil)
+	return newSpace(req, resolveProcesses(req)).total
 }
 
 // maxSeq is the open upper bound of an unrestricted sweep range.
@@ -130,23 +198,16 @@ var pointBatchPool = sync.Pool{
 	New: func() any { s := make([]Point, 0, sweepBatch); return &s },
 }
 
-// sweepBatchesOver enumerates over an explicit process slice, emitting
-// only points whose Seq lies in [from, to) — Seq numbering stays
-// absolute, so a ranged sweep is exactly the corresponding slice of the
-// full enumeration (the property range-partitioned checkpoints rely
-// on). A non-nil plan lets the enumerator jump over whole skipped
-// subspaces by advancing the Seq counter analytically — the emitted
-// stream is the unpruned stream minus points the plan proved infeasible
-// (see prune.go), with numbering untouched. Receivers own each batch
-// and should return it via putPointBatch when done.
-func sweepBatchesOver(ctx context.Context, req Requirements, procs []tech.Process, from, to int, plan *prunePlan) (<-chan *[]Point, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
+// sweepRanges streams the points of the sorted, disjoint Seq ranges in
+// order, in pooled batches. The ranges are a prune plan's enumerated
+// window, so Seq numbering stays absolute: a ranged or pruned sweep is
+// exactly the corresponding slice of the full enumeration (the
+// property range-partitioned checkpoints rely on). Receivers own each
+// batch and should return it via putPointBatch when done.
+func sweepRanges(ctx context.Context, sp *space, ranges []seqRange) <-chan *[]Point {
 	out := make(chan *[]Point, 8)
 	go func() {
 		defer close(out)
-		seq := 0
 		bp := pointBatchPool.Get().(*[]Point)
 		// bp is swapped for a fresh slice the moment it is sent, so the
 		// one held at exit was never handed out and can be recycled.
@@ -166,108 +227,17 @@ func sweepBatchesOver(ctx context.Context, req Requirements, procs []tech.Proces
 				return false
 			}
 		}
-		oi := -1
-		for _, macros := range sweepMacroOrgs {
-			if req.CapacityMbit%macros != 0 {
-				continue
-			}
-			oi++
-			if plan != nil && plan.skipOrg[oi] {
-				seq += plan.perOrg
-				if seq >= to {
-					flush()
-					return
-				}
-				continue
-			}
-			ii := -1
-			for iface := sweepIfaceMin; iface <= sweepIfaceMax; iface *= 2 {
-				ii++
-				if plan != nil && plan.skipIface[oi][ii] {
-					seq += plan.perIface
-					if seq >= to {
-						flush()
-						return
-					}
-					continue
-				}
-				for banks := 1; banks <= sweepBanksMax; banks *= 2 {
-					for _, pageMult := range sweepPageMults {
-						for bi, block := range sweepBlockBits {
-							if plan != nil && plan.skipBlock[oi][ii][bi] {
-								seq += plan.perRun
-								if seq >= to {
-									flush()
-									return
-								}
-								continue
-							}
-							for _, red := range sweepRedLevels {
-								for _, ecc := range sweepECCModes {
-									for pi := range procs {
-										if seq >= to {
-											flush()
-											return
-										}
-										if seq >= from {
-											batch = append(batch, Point{
-												Seq:    seq,
-												Macros: macros,
-												Spec: edram.Spec{
-													CapacityMbit:  req.CapacityMbit / macros,
-													InterfaceBits: iface,
-													Banks:         banks,
-													PageBits:      iface * pageMult,
-													BlockBits:     block,
-													Redundancy:    red,
-													ECC:           ecc,
-													Process:       &procs[pi],
-												},
-											})
-											if len(batch) == sweepBatch && !flush() {
-												return
-											}
-										}
-										seq++
-									}
-								}
-							}
-						}
-					}
-				}
+		for _, r := range ranges {
+			if !sp.walk(r.From, r.To, func(p Point) bool {
+				batch = append(batch, p)
+				return len(batch) < sweepBatch || flush()
+			}) {
+				return
 			}
 		}
 		flush()
 	}()
-	return out, nil
-}
-
-// Sweep enumerates the design space for the requirements into a
-// channel: interface widths 16..512, bank counts 1..8, page lengths
-// (4x..16x interface), both building blocks, all redundancy levels,
-// the no-ECC and SEC-DED word protections and every requested process,
-// for 1- and 2-macro organizations. The
-// channel is closed when the space is exhausted or ctx is cancelled.
-func Sweep(ctx context.Context, req Requirements) (<-chan Point, error) {
-	batches, err := sweepBatches(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan Point, sweepBatch)
-	go func() {
-		defer close(out)
-		for bp := range batches {
-			for _, p := range *bp {
-				select {
-				case out <- p:
-				case <-ctx.Done():
-					return
-				}
-			}
-			putPointBatch(bp)
-		}
-	}()
-	return out, nil
+	return out
 }
 
 // ExploreStats is a snapshot of the engine's progress counters,
@@ -402,11 +372,12 @@ func WithSeqRange(from, to int) ExploreOption {
 // WithPruning enables constraint-pruned enumeration: subspaces whose
 // buildable points are all provably infeasible under the requirements
 // are skipped analytically instead of evaluated (see prune.go). The
-// candidate stream is identical to an unpruned run's; ExploreStats
+// feasible candidates are identical to an unpruned run's; ExploreStats
 // accounts the skipped points in the Skipped/SkippedBuildable counters
 // so the Total* accessors still match the unpruned totals. Off by
-// default: Explore()'s all-buildable-candidates contract and
-// RecommendContext's nearest-miss diagnostics want the full stream.
+// default, which sweeps through the empty plan: Explore()'s
+// all-buildable-candidates contract and RecommendContext's
+// nearest-miss diagnostics want the full stream.
 func WithPruning() ExploreOption {
 	return func(c *exploreConfig) { c.pruned = true }
 }
@@ -431,18 +402,19 @@ func ExploreContext(ctx context.Context, req Requirements, opts ...ExploreOption
 	if cfg.seqFrom >= cfg.seqTo {
 		return nil, fmt.Errorf("core: empty seq range [%d, %d)", cfg.seqFrom, cfg.seqTo)
 	}
-	procs := resolveProcesses(req)
-	var plan *prunePlan
-	if cfg.pruned {
-		plan = newPrunePlan(req, procs)
-	}
-	batches, err := sweepBatchesOver(ctx, req, procs, cfg.seqFrom, cfg.seqTo, plan)
-	if err != nil {
+	if err := req.Validate(); err != nil {
 		return nil, err
 	}
+	sp := newSpace(req, resolveProcesses(req))
+	plan := &prunePlan{}
+	if cfg.pruned {
+		plan = newPrunePlan(req, sp)
+	}
+	from, to := cfg.seqFrom, min(cfg.seqTo, sp.total)
+	batches := sweepRanges(ctx, sp, plan.enumerated(from, to))
 	e := tech.DefaultElectrical()
 	ce := power.DefaultCoreEnergy()
-	memo := newEvalMemo(req, procs)
+	memo := newEvalMemo(req)
 	start := time.Now() //nolint:edramvet/determinism // feeds ExploreStats.WallTime only, never results
 
 	// Workers: evaluate batches of points, forwarding outcomes
@@ -494,15 +466,7 @@ func ExploreContext(ctx context.Context, req Requirements, opts ...ExploreOption
 		defer close(out)
 		front := NewFrontier()
 		stats := ExploreStats{Workers: cfg.workers}
-		if plan != nil {
-			hi := cfg.seqTo
-			if hi > plan.total {
-				hi = plan.total
-			}
-			if cfg.seqFrom < hi {
-				stats.Skipped, stats.SkippedBuildable = plan.tally(cfg.seqFrom, hi)
-			}
-		}
+		stats.Skipped, stats.SkippedBuildable = plan.tally(from, to)
 		snapshot := func(done bool) ExploreStats {
 			s := stats
 			s.WallTime = time.Since(start)
@@ -561,16 +525,14 @@ func RecommendContext(ctx context.Context, req Requirements, opts ...ExploreOpti
 	front := NewFrontier()
 	var built int64
 	var nearest Candidate
-	nearestSet := false
 	for c := range ch {
 		built++
 		if c.Feasible {
 			front.Add(c)
 			continue
 		}
-		if !nearestSet || len(c.Reasons) < len(nearest.Reasons) ||
-			(len(c.Reasons) == len(nearest.Reasons) && c.Seq < nearest.Seq) {
-			nearest, nearestSet = c, true
+		if CloserMiss(&c, &nearest) {
+			nearest = c
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -583,6 +545,21 @@ func RecommendContext(ctx context.Context, req Requirements, opts ...ExploreOpti
 		return nil, fmt.Errorf("core: no feasible configuration; closest misses: %v", nearest.Reasons)
 	}
 	return Quantize(front.Candidates()), nil
+}
+
+// CloserMiss reports whether the infeasible candidate c is a closer
+// miss than nearest: fewer violated constraints, ties to the lower Seq,
+// so the pick does not depend on which worker finished first. Any miss
+// beats a nearest without reasons (the zero Candidate).
+func CloserMiss(c, nearest *Candidate) bool {
+	switch {
+	case len(nearest.Reasons) == 0:
+		return true
+	case len(c.Reasons) != len(nearest.Reasons):
+		return len(c.Reasons) < len(nearest.Reasons)
+	default:
+		return c.Seq < nearest.Seq
+	}
 }
 
 // Frontier maintains a Pareto front incrementally: Add keeps a

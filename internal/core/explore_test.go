@@ -189,12 +189,8 @@ func TestExploreContextOptionValidation(t *testing.T) {
 }
 
 func TestSweepEnumeratesCanonically(t *testing.T) {
-	ch, err := Sweep(context.Background(), req())
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := 0
-	for p := range ch {
+	for _, p := range drainSweep(t, req()) {
 		if p.Seq != n {
 			t.Fatalf("point %d carries Seq %d", n, p.Seq)
 		}

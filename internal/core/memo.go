@@ -24,20 +24,16 @@ import (
 )
 
 // skelKey identifies the page-length-independent projection of one sweep
-// point: every Spec field except PageBits. The process travels by its
-// full parameter fingerprint (tech.Process.CanonicalKey) — the name
-// alone would alias same-named but differently-parameterized custom
-// processes, the aliasing class fixed for the service cache keys (see
-// DESIGN.md §6 canonical-key rules). On the hot path the fingerprint is
-// represented by procIdx, the process's position in the explore's
-// resolved slice (every slice element's fingerprint is precomputed and
-// distinct positions with equal fingerprints still evaluate
-// identically); procStr carries the rendered fingerprint only for
-// process pointers outside the slice (procIdx == -1), keeping the
-// per-lookup hash off the long string.
+// point: every Spec field except PageBits. The process travels by
+// pointer identity: every point of one explore points into the
+// explore's resolved process slice, so equal pointers mean the same
+// process parameters. The name alone would alias same-named but
+// differently-parameterized custom processes, the aliasing class fixed
+// for the service cache keys (see DESIGN.md §6 canonical-key rules);
+// two slice positions with equal parameters merely compute the same
+// entry twice.
 type skelKey struct {
-	procIdx      int
-	procStr      string
+	proc         *tech.Process
 	capacityMbit int
 	ifaceBits    int
 	banks        int
@@ -53,7 +49,7 @@ type skelKey struct {
 // template's (page-independent) area, the macro count and the explore's
 // fixed defect density, and within one explore the macro count is a
 // function of the key (macros = req.CapacityMbit / key.capacityMbit,
-// the inverse of how sweepBatches derives per-macro capacity).
+// the inverse of how space.point derives per-macro capacity).
 type skelEntry struct {
 	once sync.Once
 
@@ -75,20 +71,16 @@ type skelEntry struct {
 // requirements (defect density, hit rate) are part of every cached
 // computation and must not leak across runs.
 type evalMemo struct {
-	req   Requirements
-	procs []tech.Process
+	req Requirements
 
 	mu    sync.RWMutex
 	skels map[skelKey]*skelEntry
 }
 
-// newEvalMemo builds the table for one explore over the resolved
-// process slice — the same backing array sweepBatches enumerates, so
-// process identity resolves by pointer without re-fingerprinting.
-func newEvalMemo(req Requirements, procs []tech.Process) *evalMemo {
+// newEvalMemo builds the table for one explore.
+func newEvalMemo(req Requirements) *evalMemo {
 	return &evalMemo{
 		req:   req,
-		procs: procs,
 		skels: make(map[skelKey]*skelEntry, 1024),
 	}
 }
@@ -111,22 +103,6 @@ func (mm *evalMemo) entry(k skelKey) *skelEntry {
 	}
 	mm.mu.Unlock()
 	return ent
-}
-
-// procKey returns the process identity for the memo key: the slice
-// index when the pointer belongs to the explore's process slice (the
-// sweep's own points always do), otherwise -1 plus the full
-// CanonicalKey fingerprint.
-func (mm *evalMemo) procKey(p *tech.Process) (int, string) {
-	for i := range mm.procs {
-		if p == &mm.procs[i] {
-			return i, ""
-		}
-	}
-	if p == nil {
-		return -1, ""
-	}
-	return -1, p.CanonicalKey()
 }
 
 // macroArena hands out Macro slots from chunks so each sweep batch
@@ -163,10 +139,8 @@ func (mm *evalMemo) evaluateInto(dst *Candidate, pt *Point, e tech.Electrical, c
 	if macros < 1 {
 		macros = 1
 	}
-	idx, str := mm.procKey(spec.Process)
 	k := skelKey{
-		procIdx:      idx,
-		procStr:      str,
+		proc:         spec.Process,
 		capacityMbit: spec.CapacityMbit,
 		ifaceBits:    spec.InterfaceBits,
 		banks:        spec.Banks,

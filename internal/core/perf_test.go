@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -12,19 +11,15 @@ import (
 	"edram/internal/tech"
 )
 
-// exploreUnmemoized replays the sweep through the plain (unmemoized)
-// evaluate path, in canonical order — the reference the memoized engine
-// must reproduce byte-for-byte.
+// exploreUnmemoized replays the nested-loop reference enumeration
+// through the plain (unmemoized) evaluate path, in canonical order —
+// the reference the memoized engine must reproduce byte-for-byte.
 func exploreUnmemoized(t *testing.T, r Requirements) []Candidate {
 	t.Helper()
-	pts, err := Sweep(context.Background(), r)
-	if err != nil {
-		t.Fatal(err)
-	}
 	e := tech.DefaultElectrical()
 	ce := power.DefaultCoreEnergy()
 	var out []Candidate
-	for pt := range pts {
+	for _, pt := range referencePoints(r, resolveProcesses(r)) {
 		c, err := evaluate(pt.Spec, pt.Macros, r, e, ce)
 		if err != nil {
 			continue // unbuildable corner, same as the engine's !ok

@@ -4,13 +4,13 @@
 // sustained) bandwidth is maximal in the clock and the interface width,
 // and the macro area is minimal at the banks=1 / no-redundancy / no-ECC
 // corner of a subspace. A prunePlan evaluates those bounds once per
-// (macro-organization, interface, block) subspace and lets the sweep
-// skip whole Seq runs whose buildable points are all provably
-// infeasible — without enumerating them. Seq numbering stays absolute
-// (a skip advances the counter by the exact run length), so ranged
-// sweeps, job partitions and their checkpoints remain byte-compatible
-// with the unpruned enumeration; tally accounts the skipped points in
-// closed form so ExploreStats totals stay exact.
+// (macro-organization, interface, block) subspace and records the Seq
+// runs whose buildable points are all provably infeasible; the sweep
+// enumerates only the ranges between them. Seq numbering stays
+// absolute, so ranged sweeps, job partitions and their checkpoints
+// remain byte-compatible with the unpruned enumeration (the empty
+// plan); tally accounts the skipped points in closed form so
+// ExploreStats totals stay exact.
 //
 // Soundness rule: a subspace may be skipped only when every buildable
 // point in it would fail at least one feasibility check of
@@ -54,86 +54,38 @@ type skipRun struct {
 }
 
 // prunePlan is the precomputed skip decision for one requirements set
-// over one resolved process slice. A nil plan means "no pruning" —
-// every accessor treats nil as the empty plan.
+// over one explore's space. The zero plan skips nothing: it is the
+// plan of an unpruned explore.
 type prunePlan struct {
-	procs  []tech.Process
 	procOK []bool // procs[i].Validate() == nil
 	nValid int
-	total  int // sweepCount(req, procs)
 
-	// Per-dimension run lengths: perRun covers red x ecc x proc (the
-	// dimensions below the block), perIface covers banks x pageMult x
-	// block x perRun, perOrg covers iface x perIface.
-	perRun, perIface, perOrg int
-
-	// Skip decisions, indexed by enumerated-organization position,
-	// interface index (16<<i) and block index (sweepBlockBits order).
-	// skipIface is the all-blocks conjunction of skipBlock, letting the
-	// enumerator take one large jump instead of twelve small ones.
-	skipOrg   []bool
-	skipIface [][]bool
-	skipBlock [][][]bool
-
-	// runs is the flat, sorted, disjoint list of skipped Seq intervals
-	// the bool tables induce — the single source tally and enumerated
-	// derive from, so closed-form accounting cannot drift from the
-	// enumerator's jumps.
+	// runs is the flat, sorted, disjoint list of skipped Seq intervals —
+	// the single source both the enumerator (through enumerated) and
+	// the closed-form accounting (tally) derive from.
 	runs []skipRun
 }
 
-// sweepIfaces returns the interface-width table ({16..512} powers of
-// two) the geometric range in sweepBatchesOver walks.
-func sweepIfaces() []int {
-	var out []int
-	for v := sweepIfaceMin; v <= sweepIfaceMax; v *= 2 {
-		out = append(out, v)
-	}
-	return out
-}
-
-// sweepBanks returns the bank-count table ({1..8} powers of two).
-func sweepBanks() []int {
-	var out []int
-	for v := 1; v <= sweepBanksMax; v *= 2 {
-		out = append(out, v)
-	}
-	return out
-}
-
-// eligibleOrgs returns the macro organizations the sweep enumerates for
-// the requirements, in enumeration order.
-func eligibleOrgs(req Requirements) []int {
-	var out []int
-	for _, m := range sweepMacroOrgs {
-		if m > 0 && req.CapacityMbit%m == 0 {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// structBuildable reports whether a sweep point with the given
-// per-macro capacity, block, bank count, page multiplier and interface
-// width passes every structural check of edram.NewTemplate +
-// Instantiate that does not depend on the process (process validity is
-// tracked separately in procOK). Redundancy and ECC never affect
-// buildability: spare counts are non-negative by construction and every
-// ECC storage fraction is in [0,1).
-func structBuildable(capPerMacro, block, banks, pageMult, iface int) bool {
-	if capPerMacro <= 0 || capPerMacro > edram.ConceptMaxCapacityMbit {
+// structBuildable reports whether a sweep point's spec passes every
+// structural check of edram.NewTemplate + Instantiate that does not
+// depend on the process (process validity is tracked separately in
+// procOK). Redundancy and ECC never affect buildability: spare counts
+// are non-negative by construction and every ECC storage fraction is
+// in [0,1).
+func structBuildable(spec edram.Spec) bool {
+	if spec.CapacityMbit <= 0 || spec.CapacityMbit > edram.ConceptMaxCapacityMbit {
 		return false
 	}
-	capBits := capPerMacro * units.Mbit
-	if capBits%block != 0 {
+	capBits := spec.CapacityMbit * units.Mbit
+	if capBits%spec.BlockBits != 0 {
 		return false
 	}
-	blocks := capBits / block
-	if banks > blocks || blocks%banks != 0 {
+	blocks := capBits / spec.BlockBits
+	if spec.Banks > blocks || blocks%spec.Banks != 0 {
 		return false
 	}
-	cols := geom.MacroGeometry{BlockBits: block}.BlockColumns()
-	return iface*pageMult <= cols*(blocks/banks)
+	cols := geom.MacroGeometry{BlockBits: spec.BlockBits}.BlockColumns()
+	return spec.PageBits <= cols*(blocks/spec.Banks)
 }
 
 // blockClock returns the sweep's operating clock for a building block
@@ -182,16 +134,14 @@ func cornerAreaMm2(capPerMacro, iface, block, macros int, proc *tech.Process) (f
 // When the guarantee cannot be established (pathological custom
 // process), pruning is disabled entirely rather than risk a skipped
 // subspace whose buildable tally would be wrong.
-func costNeverFails(req Requirements, procs []tech.Process, procOK []bool) bool {
-	banksTab := sweepBanks()
-	ifaceTab := sweepIfaces()
-	for pi := range procs {
+func costNeverFails(req Requirements, sp *space, procOK []bool) bool {
+	for pi := range sp.procs {
 		if !procOK[pi] {
 			continue // never builds, never reaches the cost model
 		}
-		p := &procs[pi]
+		p := &sp.procs[pi]
 		maxDie := 0.0
-		for _, macros := range eligibleOrgs(req) {
+		for _, macros := range sp.orgs {
 			capPer := req.CapacityMbit / macros
 			if capPer <= 0 || capPer > edram.ConceptMaxCapacityMbit {
 				continue
@@ -202,11 +152,11 @@ func costNeverFails(req Requirements, procs []tech.Process, procOK []bool) bool 
 					continue
 				}
 				blocks := capBits / block
-				for _, banks := range banksTab {
+				for _, banks := range sweepBankCounts {
 					if banks > blocks || blocks%banks != 0 {
 						continue
 					}
-					for _, iface := range ifaceTab {
+					for _, iface := range sweepIfaceBits {
 						// Area is monotone in the spare counts and the ECC
 						// storage fraction, so the high-redundancy SEC-DED
 						// corner bounds both ECC modes and all four levels.
@@ -245,135 +195,86 @@ func costNeverFails(req Requirements, procs []tech.Process, procOK []bool) bool 
 }
 
 // newPrunePlan derives the skip plan for the requirements over the
-// resolved process slice. It returns nil when pruning cannot be applied
-// soundly; the caller then runs the plain enumeration.
-func newPrunePlan(req Requirements, procs []tech.Process) *prunePlan {
-	if len(procs) == 0 {
-		return nil
-	}
-	procOK := make([]bool, len(procs))
-	nValid := 0
-	for i := range procs {
-		if procs[i].Validate() == nil {
-			procOK[i] = true
-			nValid++
+// explore's space. It returns the empty plan when no skip can be
+// proven sound.
+func newPrunePlan(req Requirements, sp *space) *prunePlan {
+	p := &prunePlan{procOK: make([]bool, len(sp.procs))}
+	for i := range sp.procs {
+		if sp.procs[i].Validate() == nil {
+			p.procOK[i] = true
+			p.nValid++
 		}
 	}
-	if !costNeverFails(req, procs, procOK) {
-		return nil
+	if !costNeverFails(req, sp, p.procOK) {
+		return &prunePlan{}
 	}
 
-	P := len(procs)
-	ifaceTab := sweepIfaces()
-	banksTab := sweepBanks()
-	nIface, nBanks := len(ifaceTab), len(banksTab)
-	nPage, nBlock := len(sweepPageMults), len(sweepBlockBits)
-	nRed, nECC := len(sweepRedLevels), len(sweepECCModes)
-
-	p := &prunePlan{
-		procs:    procs,
-		procOK:   procOK,
-		nValid:   nValid,
-		total:    sweepCount(req, procs),
-		perRun:   nRed * nECC * P,
-		perIface: nBanks * nPage * nBlock * nRed * nECC * P,
-	}
-	p.perOrg = nIface * p.perIface
-	orgs := eligibleOrgs(req)
-
-	clocks := make([]float64, nBlock)
-	clockOK := make([]bool, nBlock)
+	clocks := make([]float64, len(sweepBlockBits))
+	clockOK := make([]bool, len(sweepBlockBits))
 	for bi, block := range sweepBlockBits {
 		clocks[bi], clockOK[bi] = blockClock(block)
 	}
-
-	p.skipOrg = make([]bool, len(orgs))
-	p.skipIface = make([][]bool, len(orgs))
-	p.skipBlock = make([][][]bool, len(orgs))
-	for oi, macros := range orgs {
-		capPer := req.CapacityMbit / macros
-		p.skipOrg[oi] = capPer > edram.ConceptMaxCapacityMbit
-		p.skipIface[oi] = make([]bool, nIface)
-		p.skipBlock[oi] = make([][]bool, nIface)
-		for ii, iface := range ifaceTab {
-			p.skipBlock[oi][ii] = make([]bool, nBlock)
-			if p.skipOrg[oi] {
-				continue // the whole organization is skipped structurally
+	// infeasible reports whether every buildable point of one
+	// (organization, interface, block) subspace fails a constraint.
+	infeasible := func(macros, iface, bi int) bool {
+		if clockOK[bi] {
+			if req.MinClockMHz > 0 && clocks[bi] < req.MinClockMHz {
+				// Exactly the scoreCandidate clock check: the clock is
+				// identical for every candidate with this block.
+				return true
 			}
-			all := true
-			for bi, block := range sweepBlockBits {
-				skip := false
-				if clockOK[bi] {
-					if req.MinClockMHz > 0 && clocks[bi] < req.MinClockMHz {
-						// Exactly the scoreCandidate clock check: the clock is
-						// identical for every candidate with this block.
-						skip = true
-					}
-					peak := float64(macros) * units.BandwidthGBps(iface, clocks[bi])
-					if peak*bwPruneSlack < req.BandwidthGBps {
-						skip = true
-					}
-				}
-				if !skip && req.MaxAreaMm2 > 0 && nValid > 0 {
-					minCorner, known := 0.0, false
-					for pi := range procs {
-						if !procOK[pi] {
-							continue
-						}
-						a, ok := cornerAreaMm2(capPer, iface, block, macros, &procs[pi])
-						if !ok {
-							known = false
-							break
-						}
-						if !known || a < minCorner {
-							minCorner, known = a, true
-						}
-					}
-					if known && minCorner > req.MaxAreaMm2 {
-						skip = true
-					}
-				}
-				p.skipBlock[oi][ii][bi] = skip
-				if !skip {
-					all = false
+			peak := float64(macros) * units.BandwidthGBps(iface, clocks[bi])
+			if peak*bwPruneSlack < req.BandwidthGBps {
+				return true
+			}
+		}
+		if req.MaxAreaMm2 <= 0 || p.nValid == 0 {
+			return false
+		}
+		minCorner, known := 0.0, false
+		for pi := range sp.procs {
+			if !p.procOK[pi] {
+				continue
+			}
+			a, ok := cornerAreaMm2(req.CapacityMbit/macros, iface, sweepBlockBits[bi], macros, &sp.procs[pi])
+			if !ok {
+				return false
+			}
+			if !known || a < minCorner {
+				minCorner, known = a, true
+			}
+		}
+		return known && minCorner > req.MaxAreaMm2
+	}
+	// skip holds the skipped subspaces by (organization, interface,
+	// block) digit. An organization over the concept ceiling is skipped
+	// whole; its points are structurally unbuildable.
+	skip := map[[3]int]bool{}
+	for oi, macros := range sp.orgs {
+		over := req.CapacityMbit/macros > edram.ConceptMaxCapacityMbit
+		for ii, iface := range sweepIfaceBits {
+			for bi := range sweepBlockBits {
+				if over || infeasible(macros, iface, bi) {
+					skip[[3]int{oi, ii, bi}] = true
 				}
 			}
-			p.skipIface[oi][ii] = all
 		}
 	}
 
-	// Flatten the decision tables into the sorted skip-run list at
-	// block-run granularity (one run per skipped red x ecc x proc
-	// stretch), merging adjacent runs as they are emitted.
-	emit := func(from, to int, structOK bool) {
-		if n := len(p.runs); n > 0 && p.runs[n-1].to == from && p.runs[n-1].structOK == structOK {
-			p.runs[n-1].to = to
-			return
-		}
-		p.runs = append(p.runs, skipRun{from: from, to: to, structOK: structOK})
-	}
-	for oi, macros := range orgs {
-		orgStart := oi * p.perOrg
-		capPer := req.CapacityMbit / macros
-		if p.skipOrg[oi] {
-			emit(orgStart, orgStart+p.perOrg, false)
+	// Emit one run per skipped block stretch (redundancy × ECC ×
+	// process), merging adjacent runs of equal buildability.
+	run := sp.stride[digitBlock]
+	for from := 0; from < sp.total; from += run {
+		d := sp.digits(from)
+		if !skip[[3]int{d[digitOrg], d[digitIface], d[digitBlock]}] {
 			continue
 		}
-		for ii, iface := range ifaceTab {
-			ifaceStart := orgStart + ii*p.perIface
-			for ki, banks := range banksTab {
-				for gi, pageMult := range sweepPageMults {
-					for bi, block := range sweepBlockBits {
-						if !p.skipBlock[oi][ii][bi] {
-							continue
-						}
-						runStart := ifaceStart + ((ki*nPage+gi)*nBlock+bi)*p.perRun
-						emit(runStart, runStart+p.perRun,
-							structBuildable(capPer, block, banks, pageMult, iface))
-					}
-				}
-			}
+		structOK := structBuildable(sp.at(from, &d).Spec)
+		if n := len(p.runs); n > 0 && p.runs[n-1].to == from && p.runs[n-1].structOK == structOK {
+			p.runs[n-1].to = from + run
+			continue
 		}
+		p.runs = append(p.runs, skipRun{from: from, to: from + run, structOK: structOK})
 	}
 	return p
 }
@@ -381,12 +282,9 @@ func newPrunePlan(req Requirements, procs []tech.Process) *prunePlan {
 // tally returns, in closed form, how many points of the window
 // [from, to) a pruned sweep skips, and how many of those would have
 // built (all of them provably infeasible — that is what justified the
-// skip). A nil plan skips nothing.
+// skip).
 func (p *prunePlan) tally(from, to int) (skipped, skippedBuildable int64) {
-	if p == nil {
-		return 0, 0
-	}
-	P := len(p.procs)
+	P := len(p.procOK)
 	for _, r := range p.runs {
 		lo, hi := r.from, r.to
 		if lo < from {
@@ -419,18 +317,9 @@ func (p *prunePlan) tally(from, to int) (skipped, skippedBuildable int64) {
 }
 
 // enumerated returns the sorted, disjoint Seq intervals of [from, to)
-// a pruned sweep actually enumerates — the complement of the skip runs.
-// A nil plan enumerates the whole window.
+// the sweep enumerates — the complement of the skip runs. The caller
+// clamps the window to the space.
 func (p *prunePlan) enumerated(from, to int) []seqRange {
-	if to > p.planTotal() {
-		to = p.planTotal()
-	}
-	if from >= to {
-		return nil
-	}
-	if p == nil {
-		return []seqRange{{From: from, To: to}}
-	}
 	var out []seqRange
 	cur := from
 	for _, r := range p.runs {
@@ -441,12 +330,9 @@ func (p *prunePlan) enumerated(from, to int) []seqRange {
 			break
 		}
 		if r.from > cur {
-			out = append(out, seqRange{From: cur, To: minSeqBound(r.from, to)})
+			out = append(out, seqRange{From: cur, To: r.from})
 		}
-		if r.to > cur {
-			cur = r.to
-		}
-		if cur >= to {
+		if cur = r.to; cur >= to {
 			return out
 		}
 	}
@@ -454,65 +340,4 @@ func (p *prunePlan) enumerated(from, to int) []seqRange {
 		out = append(out, seqRange{From: cur, To: to})
 	}
 	return out
-}
-
-// planTotal returns the sweep size the plan was built for; a nil plan
-// imposes no bound.
-func (p *prunePlan) planTotal() int {
-	if p == nil {
-		return maxSeq
-	}
-	return p.total
-}
-
-func minSeqBound(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// pointAt reconstructs the sweep point at one canonical sequence
-// number — the inverse of the sweepBatchesOver enumeration, used by the
-// delta path to materialize frontier members without re-running the
-// sweep. The caller guarantees seq is in [0, sweepCount).
-func pointAt(req Requirements, procs []tech.Process, seq int) Point {
-	P := len(procs)
-	orgs := eligibleOrgs(req)
-	nPage, nBlock := len(sweepPageMults), len(sweepBlockBits)
-	nRed, nECC := len(sweepRedLevels), len(sweepECCModes)
-	perRun := nRed * nECC * P
-	perIface := len(sweepBanks()) * nPage * nBlock * perRun
-	perOrg := len(sweepIfaces()) * perIface
-
-	idx := seq
-	macros := orgs[idx/perOrg]
-	idx %= perOrg
-	iface := sweepIfaceMin << (idx / perIface)
-	idx %= perIface
-	banks := 1 << (idx / (nPage * nBlock * perRun))
-	idx %= nPage * nBlock * perRun
-	pageMult := sweepPageMults[idx/(nBlock*perRun)]
-	idx %= nBlock * perRun
-	block := sweepBlockBits[idx/perRun]
-	idx %= perRun
-	red := sweepRedLevels[idx/(nECC*P)]
-	idx %= nECC * P
-	ecc := sweepECCModes[idx/P]
-	pi := idx % P
-
-	return Point{
-		Seq:    seq,
-		Macros: macros,
-		Spec: edram.Spec{
-			CapacityMbit:  req.CapacityMbit / macros,
-			InterfaceBits: iface,
-			Banks:         banks,
-			PageBits:      iface * pageMult,
-			BlockBits:     block,
-			Redundancy:    red,
-			ECC:           ecc,
-			Process:       &procs[pi],
-		},
-	}
 }

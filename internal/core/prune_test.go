@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"edram/internal/edram"
+	"edram/internal/geom"
+	"edram/internal/reliab"
 	"edram/internal/tech"
 )
 
@@ -135,34 +138,98 @@ func TestPrunedExploreRangeParity(t *testing.T) {
 	}
 }
 
-// TestPointAtInvertsSweep pins pointAt as the exact inverse of the
-// sweep enumeration, including for multi-process requests.
+// referencePoints enumerates the design space with plain nested loops
+// in the canonical order — the independent oracle space.point and the
+// enumerator are checked against. It shares no code with space.
+func referencePoints(req Requirements, procs []tech.Process) []Point {
+	var out []Point
+	for _, macros := range []int{1, 2} {
+		if req.CapacityMbit%macros != 0 {
+			continue
+		}
+		for iface := 16; iface <= 512; iface *= 2 {
+			for banks := 1; banks <= 8; banks *= 2 {
+				for _, pageMult := range []int{4, 8, 16} {
+					for _, block := range []int{geom.Block256K, geom.Block1M} {
+						for _, red := range []edram.RedundancyLevel{edram.RedundancyNone, edram.RedundancyLow, edram.RedundancyStd, edram.RedundancyHigh} {
+							for _, ecc := range []reliab.ECC{reliab.ECCNone, reliab.ECCSECDED} {
+								for pi := range procs {
+									out = append(out, Point{
+										Seq:    len(out),
+										Macros: macros,
+										Spec: edram.Spec{
+											CapacityMbit:  req.CapacityMbit / macros,
+											InterfaceBits: iface,
+											Banks:         banks,
+											PageBits:      iface * pageMult,
+											BlockBits:     block,
+											Redundancy:    red,
+											ECC:           ecc,
+											Process:       &procs[pi],
+										},
+									})
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// drainSweep collects the enumerator's stream for the whole space of
+// req through the empty plan.
+func drainSweep(t *testing.T, req Requirements) []Point {
+	t.Helper()
+	sp := newSpace(req, resolveProcesses(req))
+	var out []Point
+	for bp := range sweepRanges(context.Background(), sp, (&prunePlan{}).enumerated(0, sp.total)) {
+		out = append(out, *bp...)
+		putPointBatch(bp)
+	}
+	return out
+}
+
+// TestPointAtInvertsSweep pins space.point and space.walk as exact
+// decoders of the nested-loop reference enumeration, including for
+// multi-process and one-organization requests.
 func TestPointAtInvertsSweep(t *testing.T) {
 	for _, req := range []Requirements{
 		{CapacityMbit: 16, BandwidthGBps: 1, HitRate: 0.5},
 		{CapacityMbit: 13, BandwidthGBps: 1, HitRate: 0.5},
 		{CapacityMbit: 8, BandwidthGBps: 1, HitRate: 0.5, Processes: tech.Processes()},
 	} {
-		procs := resolveProcesses(req)
-		batches, err := sweepBatchesOver(context.Background(), req, procs, 0, maxSeq, nil)
-		if err != nil {
-			t.Fatalf("sweepBatchesOver: %v", err)
+		sp := newSpace(req, resolveProcesses(req))
+		ref := referencePoints(req, sp.procs)
+		if len(ref) != sp.total || sp.total != SweepCount(req) {
+			t.Fatalf("reference has %d points, space %d, SweepCount %d", len(ref), sp.total, SweepCount(req))
 		}
-		n := 0
-		for bp := range batches {
-			for _, want := range *bp {
-				got := pointAt(req, procs, want.Seq)
-				if got.Seq != want.Seq || got.Macros != want.Macros ||
-					got.Spec != want.Spec {
-					t.Fatalf("pointAt(%d) = %+v, sweep emitted %+v", want.Seq, got, want)
-				}
-				n++
+		for _, want := range ref {
+			if got := sp.point(want.Seq); got != want {
+				t.Fatalf("point(%d) = %+v, reference %+v", want.Seq, got, want)
 			}
-			putPointBatch(bp)
 		}
-		if n != SweepCount(req) {
-			t.Fatalf("sweep emitted %d points, SweepCount says %d", n, SweepCount(req))
+		// walk steps the digits from its first Seq; start it mid-digit.
+		for _, from := range []int{0, 1, 7, sp.total / 3, sp.total - 5} {
+			to := min(from+200, sp.total)
+			var got []Point
+			sp.walk(from, to, func(p Point) bool { got = append(got, p); return true })
+			if !reflect.DeepEqual(got, ref[from:to]) {
+				t.Fatalf("walk(%d, %d) differs from the reference", from, to)
+			}
 		}
+	}
+}
+
+// TestSpacePointAllocs pins delta materialization's decoder as
+// allocation-free.
+func TestSpacePointAllocs(t *testing.T) {
+	req := Requirements{CapacityMbit: 32, BandwidthGBps: 1, HitRate: 0.5}
+	sp := newSpace(req, resolveProcesses(req))
+	if n := testing.AllocsPerRun(100, func() { _ = sp.point(sp.total - 1) }); n != 0 {
+		t.Fatalf("space.point allocates %v times per call", n)
 	}
 }
 
@@ -171,12 +238,12 @@ func TestPointAtInvertsSweep(t *testing.T) {
 // cover the window exactly.
 func TestPlanEnumeratedComplementsTally(t *testing.T) {
 	req := Requirements{CapacityMbit: 16, BandwidthGBps: 3, HitRate: 0.6, MaxAreaMm2: 30}
-	procs := resolveProcesses(req)
-	plan := newPrunePlan(req, procs)
-	if plan == nil {
-		t.Fatalf("expected a plan for the default process")
+	sp := newSpace(req, resolveProcesses(req))
+	plan := newPrunePlan(req, sp)
+	if len(plan.runs) == 0 {
+		t.Fatalf("expected skip runs for the default process")
 	}
-	total := plan.total
+	total := sp.total
 	for _, w := range [][2]int{{0, total}, {5, total - 5}, {total / 2, total/2 + 100}} {
 		skipped, _ := plan.tally(w[0], w[1])
 		enum := 0

@@ -31,12 +31,8 @@ func collectRange(t *testing.T, r Requirements, from, to int) []string {
 func TestSweepCountMatchesEnumeration(t *testing.T) {
 	for _, r := range []Requirements{req(), {CapacityMbit: 15, BandwidthGBps: 1, HitRate: 0.5}} {
 		want := SweepCount(r)
-		ch, err := Sweep(context.Background(), r)
-		if err != nil {
-			t.Fatal(err)
-		}
 		n, maxSeqSeen := 0, -1
-		for p := range ch {
+		for _, p := range drainSweep(t, r) {
 			n++
 			if p.Seq > maxSeqSeen {
 				maxSeqSeen = p.Seq

@@ -22,10 +22,8 @@ import (
 	"edram/internal/core"
 	"edram/internal/edram"
 	"edram/internal/jobs"
-	"edram/internal/mapping"
 	"edram/internal/reliab"
 	"edram/internal/scenario"
-	"edram/internal/sched"
 	"edram/internal/shard"
 )
 
@@ -635,13 +633,6 @@ func (s *Server) runTrialsJob(req TrialsJobRequest) jobs.RunFunc {
 		if err != nil {
 			return nil, err
 		}
-		policy, err := parsePolicy(req.Options.Policy)
-		if err != nil {
-			return nil, err
-		}
-		cfg := m.DeviceConfig()
-		gm := mapping.Geometry{Banks: cfg.Banks, RowsBank: cfg.RowsPerBank, PageBytes: cfg.PageBits / 8}
-
 		runTrial := func(trial int, seed int64) (reliab.Stats, []reliab.FaultEvent, error) {
 			if err := ctx.Err(); err != nil {
 				return reliab.Stats{}, nil, err
@@ -650,24 +641,7 @@ func (s *Server) runTrialsJob(req TrialsJobRequest) jobs.RunFunc {
 			if err != nil {
 				return reliab.Stats{}, nil, err
 			}
-			mp, err := mapping.NewBankInterleaved(gm)
-			if err != nil {
-				return reliab.Stats{}, nil, err
-			}
-			clients := make([]sched.Client, len(req.Clients))
-			for i, c := range req.Clients {
-				clients[i] = sched.Client{
-					Name:            c.Name,
-					Gen:             c.Generator(i, m.Geometry.InterfaceBits),
-					LatencyBudgetNs: c.LatencyBudgetNs,
-				}
-			}
-			res, err := sched.RunWithOptions(cfg, mp, sched.Options{
-				Policy:        policy,
-				ClosedPage:    req.Options.ClosedPage,
-				ReorderWindow: req.Options.ReorderWindow,
-				Reliability:   &rel,
-			}, clients)
+			res, err := simulate(m, req.Options, req.Clients, &rel)
 			if err != nil {
 				return reliab.Stats{}, nil, err
 			}

@@ -1,6 +1,11 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"edram/internal/edram"
@@ -51,4 +56,82 @@ func TestEndpointLabelClosedSet(t *testing.T) {
 			t.Errorf("endpointLabel(%q) = %q, want \"other\"", unknown, got)
 		}
 	}
+}
+
+// FuzzRequirementsKey fuzzes the explore/recommend request boundary:
+// arbitrary bytes never panic the strict decoder, and an accepted body
+// with no violations has a canonical key that survives a marshal →
+// decode round trip and any respelling a client might send (fields
+// reordered, 1 written as 1.0 or 1e+00).
+func FuzzRequirementsKey(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var body RequirementsRequest
+		if strictUnmarshal(raw, &body) != nil || len(body.Violations()) > 0 {
+			return
+		}
+		key := body.CanonicalKey()
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatalf("accepted body does not marshal: %v", err)
+		}
+		spellings := map[string]func(float64) string{
+			"decimal": func(v float64) string {
+				s := strconv.FormatFloat(v, 'f', -1, 64)
+				if !strings.Contains(s, ".") {
+					s += ".0"
+				}
+				return s
+			},
+			"exponent": func(v float64) string { return strconv.FormatFloat(v, 'e', -1, 64) },
+		}
+		bodies := map[string][]byte{"marshalled": b}
+		for name, spell := range spellings {
+			bodies[name] = respellRequirements(t, b, spell)
+		}
+		for name, rb := range bodies {
+			var again RequirementsRequest
+			if err := strictUnmarshal(rb, &again); err != nil {
+				t.Fatalf("%s body %s rejected: %v", name, rb, err)
+			}
+			if got := again.CanonicalKey(); got != key {
+				t.Fatalf("%s body %s changed the key:\n got %s\nwant %s", name, rb, got, key)
+			}
+		}
+	})
+}
+
+// respellRequirements re-encodes a marshalled requirements body with
+// its top-level fields in reverse order and every top-level float in
+// the given spelling.
+func respellRequirements(t *testing.T, b []byte, spell func(float64) string) []byte {
+	t.Helper()
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(b, &fields); err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(fields))
+	for name := range fields {
+		names = append(names, name)
+	}
+	sort.Sort(sort.Reverse(sort.StringSlice(names)))
+	var out bytes.Buffer
+	out.WriteByte('{')
+	for i, name := range names {
+		if i > 0 {
+			out.WriteByte(',')
+		}
+		v := []byte(fields[name])
+		switch name {
+		case "bandwidth_gbps", "hit_rate", "max_area_mm2", "max_power_mw", "min_clock_mhz", "defects_per_cm2":
+			f, err := strconv.ParseFloat(string(v), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v = []byte(spell(f))
+		}
+		out.WriteString(strconv.Quote(name) + ":")
+		out.Write(v)
+	}
+	out.WriteByte('}')
+	return out.Bytes()
 }

@@ -22,6 +22,7 @@ import (
 	"edram/internal/edram"
 	"edram/internal/experiments"
 	"edram/internal/mapping"
+	"edram/internal/reliab"
 	"edram/internal/scenario"
 	"edram/internal/sched"
 	"edram/internal/shard"
@@ -475,29 +476,7 @@ func BuildSimulate(req SimulateRequest) (*SimulateResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	policy, err := parsePolicy(req.Options.Policy)
-	if err != nil {
-		return nil, err
-	}
-	clients := make([]sched.Client, len(req.Clients))
-	for i, c := range req.Clients {
-		clients[i] = sched.Client{
-			Name:            c.Name,
-			Gen:             c.Generator(i, m.Geometry.InterfaceBits),
-			LatencyBudgetNs: c.LatencyBudgetNs,
-		}
-	}
-	cfg := m.DeviceConfig()
-	gm := mapping.Geometry{Banks: cfg.Banks, RowsBank: cfg.RowsPerBank, PageBytes: cfg.PageBits / 8}
-	mp, err := mapping.NewBankInterleaved(gm)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sched.RunWithOptions(cfg, mp, sched.Options{
-		Policy:        policy,
-		ClosedPage:    req.Options.ClosedPage,
-		ReorderWindow: req.Options.ReorderWindow,
-	}, clients)
+	res, err := simulate(m, req.Options, req.Clients, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -528,6 +507,35 @@ func BuildSimulate(req SimulateRequest) (*SimulateResponse, error) {
 		})
 	}
 	return resp, nil
+}
+
+// simulate runs the event-driven controller for the clients on macro
+// m — the one simulation setup /v1/simulate and trial campaigns share.
+// rel, when non-nil, arms fault injection.
+func simulate(m *edram.Macro, opts SimulateOptions, specs []ClientSpec, rel *reliab.Config) (sched.Result, error) {
+	policy, err := parsePolicy(opts.Policy)
+	if err != nil {
+		return sched.Result{}, err
+	}
+	clients := make([]sched.Client, len(specs))
+	for i, c := range specs {
+		clients[i] = sched.Client{
+			Name:            c.Name,
+			Gen:             c.Generator(i, m.Geometry.InterfaceBits),
+			LatencyBudgetNs: c.LatencyBudgetNs,
+		}
+	}
+	cfg := m.DeviceConfig()
+	mp, err := mapping.NewBankInterleaved(mapping.Geometry{Banks: cfg.Banks, RowsBank: cfg.RowsPerBank, PageBytes: cfg.PageBits / 8})
+	if err != nil {
+		return sched.Result{}, err
+	}
+	return sched.RunWithOptions(cfg, mp, sched.Options{
+		Policy:        policy,
+		ClosedPage:    opts.ClosedPage,
+		ReorderWindow: opts.ReorderWindow,
+		Reliability:   rel,
+	}, clients)
 }
 
 // BuildDatasheet constructs the macro and renders its datasheet — the
