@@ -80,14 +80,15 @@ bench-compare: bench
 # fuzz runs the cell-array fuzzer with a real time budget; fuzz-smoke
 # only replays the seed corpora (no -fuzz) of the cell-array fuzzer, of
 # the explore-job checkpoint decoder and of the requirements request
-# decoder and canonical key (internal/service/testdata/fuzz), which is
+# decoder and canonical key (internal/service/testdata/fuzz), and of
+# the ckpt/v1 record loader (internal/jobs/testdata/fuzz), which is
 # cheap enough to sit on the tier-1 path.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzArrayReadWrite -fuzztime $(FUZZTIME) ./internal/dram/
 
 fuzz-smoke:
-	$(GO) test -run '^Fuzz' ./internal/dram/ ./internal/service/
+	$(GO) test -run '^Fuzz' ./internal/dram/ ./internal/service/ ./internal/jobs/
 
 # serve-smoke boots the real edramd daemon on a random loopback port,
 # drives /healthz, /v1/recommend and /metrics with live HTTP calls,

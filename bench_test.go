@@ -222,15 +222,11 @@ func BenchmarkDeltaExplore(b *testing.B) {
 
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ch, err := core.ExploreContext(context.Background(), tweaked, core.WithPruning())
+			res, err := core.SweepContext(context.Background(), tweaked, core.WithPruning())
 			if err != nil {
 				b.Fatal(err)
 			}
-			front := core.NewFrontier()
-			for c := range ch {
-				front.Add(c)
-			}
-			if front.Size() == 0 {
+			if len(res.Frontier) == 0 {
 				b.Fatal("empty frontier")
 			}
 		}
@@ -241,12 +237,9 @@ func BenchmarkDeltaExplore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ch, err := core.ExploreContext(context.Background(), base,
-			core.WithPruning(), core.WithObserver(st.Observe))
-		if err != nil {
+		if _, err := core.SweepContext(context.Background(), base,
+			core.WithPruning(), core.WithObserver(st.Observe)); err != nil {
 			b.Fatal(err)
-		}
-		for range ch {
 		}
 		st.Seal()
 		b.ResetTimer()

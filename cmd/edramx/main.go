@@ -48,7 +48,6 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress the progress line on stderr")
 	role := flag.String("role", "", "print the datasheet of one recommendation (min-area, min-power, max-bandwidth, min-cost)")
 	pareto := flag.Bool("pareto", false, "also print the full feasible Pareto frontier")
-	prune := flag.Bool("prune", false, "skip provably infeasible subspaces analytically in the table path (same recommendations; nearest-miss diagnostics get coarser because skipped points never surface)")
 	delta := flag.String("delta", "", "incremental re-exploration: sweep the flag-built requirements once, then re-explore with one constraint changed (field=value; field is bandwidth, maxarea, maxpower or minclock) and emit the delta run's JSON on stdout")
 	jsonOut := flag.Bool("json", false, "emit the exploration as JSON on stdout (the exact POST /v1/explore schema)")
 	scenFile := flag.String("scenario", "", "evaluate a declarative scenario file instead of flag-built requirements (with -json: the exact POST /v1/scenario schema)")
@@ -114,47 +113,29 @@ func main() {
 		return
 	}
 
-	// One streaming pass feeds the incremental Pareto front, the
-	// nearest-miss diagnostics and the progress line at once; the old
-	// Recommend+Explore pair walked the space twice. Final stats are
-	// captured so the empty-sweep check also counts points a -prune run
-	// skipped analytically (TotalBuilt folds them back in).
-	var final core.ExploreStats
-	capture := func(s core.ExploreStats) {
-		if s.Done {
-			final = s
-		}
-		if !*quiet {
-			progressLine(s)
-		}
+	// One unpruned sweep feeds the Pareto front, the nearest-miss
+	// diagnostics and the progress line at once, so the closest miss
+	// is the full stream's; the recommendations and both error texts
+	// come from the fold, as in core.RecommendContext.
+	var nearest core.Candidate
+	opts := []core.ExploreOption{core.WithWorkers(*workers), core.WithProgressEvery(128),
+		core.WithObserver(func(c core.Candidate) {
+			if !c.Feasible && core.CloserMiss(&c, &nearest) {
+				nearest = c
+			}
+		})}
+	if !*quiet {
+		opts = append(opts, core.WithProgress(progressLine))
 	}
-	opts := []core.ExploreOption{core.WithWorkers(*workers), core.WithProgressEvery(128), core.WithProgress(capture)}
-	if *prune {
-		opts = append(opts, core.WithPruning())
-	}
-	ch, err := core.ExploreContext(context.Background(), req, opts...)
+	res, err := core.SweepContext(context.Background(), req, opts...)
 	if err != nil {
 		fail(err)
 	}
-	front := core.NewFrontier()
-	var nearest core.Candidate
-	for c := range ch {
-		if c.Feasible {
-			front.Add(c)
-			continue
-		}
-		if core.CloserMiss(&c, &nearest) {
-			nearest = c
-		}
+	recs, err := res.Recommendations(req, nearest)
+	if err != nil {
+		fail(err)
 	}
-	if final.TotalBuilt() == 0 {
-		fail(fmt.Errorf("no buildable configuration for %+v", req))
-	}
-	if front.Size() == 0 {
-		fail(fmt.Errorf("no feasible configuration; closest misses: %v", nearest.Reasons))
-	}
-	frontier := front.Candidates()
-	recs := core.Quantize(frontier)
+	frontier := res.Frontier
 
 	t := report.New(fmt.Sprintf("recommendations for %d Mbit @ %.1f GB/s sustained", *capacity, *bandwidth),
 		"role", "macros", "iface", "banks", "page", "block Kbit", "redundancy",

@@ -8,13 +8,14 @@
 //
 //  1. Build a macro and render its deliverables: BuildMacro, Views.
 //  2. Explore the §3 design space: ExploreContext streams every
-//     buildable Candidate from a parallel worker pool, and
-//     RecommendContext quantizes the feasible Pareto frontier into at
-//     most four named picks. Both take a context for cancellation and
-//     functional options — WithWorkers (pool size), WithProgress
-//     (ExploreStats snapshots: points enumerated/built/infeasible/
-//     pruned, front size, wall time, per-worker busy time), and
-//     WithObserver (a per-candidate tap).
+//     buildable Candidate from a parallel worker pool (a wrapper over
+//     the engine's one sweep fold, which keeps the sweep's Pareto
+//     front), and RecommendContext quantizes the feasible Pareto
+//     frontier into at most four named picks. Both take a context for
+//     cancellation and functional options — WithWorkers (pool size),
+//     WithProgress (ExploreStats snapshots: points enumerated/built/
+//     infeasible/pruned, front size, wall time, per-worker busy time),
+//     and WithObserver (a per-candidate tap).
 //  3. Simulate a multi-client memory system on a macro: Simulate, with
 //     SimOptions.Observer as the matching per-request trace callback.
 //  4. Serve the engine over HTTP: NewService builds the server behind

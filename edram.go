@@ -104,13 +104,15 @@ func WithObserver(fn func(Candidate)) ExploreOption { return core.WithObserver(f
 // ExploreContext enumerates and evaluates the full design space on a
 // worker pool, streaming every buildable candidate (feasible or not) on
 // the returned channel until the sweep is exhausted or ctx is
-// cancelled. Candidate.Seq restores canonical enumeration order.
+// cancelled. Candidate.Seq restores canonical enumeration order. The
+// channel is a wrapper over the engine's one sweep fold: the candidates
+// are sent from its observer, after the caller's own WithObserver tap.
 func ExploreContext(ctx context.Context, req Requirements, opts ...ExploreOption) (<-chan Candidate, error) {
 	return core.ExploreContext(ctx, req, opts...)
 }
 
 // RecommendContext is the context-aware, parallel form of Recommend:
-// it streams the space through an incremental Pareto front and
+// it folds the space through the engine's incremental Pareto front and
 // quantizes the feasible survivors into at most four named picks.
 func RecommendContext(ctx context.Context, req Requirements, opts ...ExploreOption) ([]Recommendation, error) {
 	return core.RecommendContext(ctx, req, opts...)

@@ -56,10 +56,6 @@ var modelPackages = map[string]bool{
 	// regression cannot be distinguished from schedule noise. The
 	// edramload driver's latency clocks carry scoped nolint escapes.
 	"loadgen": true, "edramload": true,
-	// Merged partition frontiers must be byte-identical to the
-	// single-process sweep regardless of partition boundaries or merge
-	// order.
-	"shard": true,
 	// The disk cache's segment log must replay byte-identically after
 	// a restart: record framing and compaction order cannot depend on
 	// wall-clock or map iteration.

@@ -297,26 +297,21 @@ func failReason(pre string, have float64, mid string, want float64, prec int) st
 // both building blocks and all redundancy levels. It returns every
 // buildable candidate, feasible or not, in canonical enumeration order.
 //
-// Explore is a compatibility wrapper over the streaming engine; new
-// code should prefer ExploreContext, which adds cancellation, a worker
-// pool, and progress/observer hooks.
+// Explore is a compatibility wrapper over the engine; new code should
+// prefer SweepContext or ExploreContext, which add cancellation, a
+// worker pool, and progress/observer hooks.
 func Explore(req Requirements) ([]Candidate, error) {
-	ch, err := ExploreContext(context.Background(), req)
-	if err != nil {
-		return nil, err
-	}
 	// Seq values are unique positions in [0, SweepCount), so canonical
 	// order is restored by placing each candidate at its Seq slot and
 	// compacting over the unbuildable gaps — O(n) with one exactly-sized
 	// allocation, instead of append-doubling plus a reflective sort that
 	// both churn the ~300-byte Candidate struct.
 	buf := make([]Candidate, SweepCount(req))
-	n := 0
-	for c := range ch {
-		buf[c.Seq] = c
-		n++
+	res, err := SweepContext(context.Background(), req, WithObserver(func(c Candidate) { buf[c.Seq] = c }))
+	if err != nil {
+		return nil, err
 	}
-	if n == 0 {
+	if res.Built == 0 {
 		return nil, fmt.Errorf("core: no buildable configuration for %+v", req)
 	}
 	w := 0

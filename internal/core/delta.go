@@ -8,8 +8,8 @@
 // Seq intervals the previous (pruned) run never enumerated and the new
 // constraints now need, and merge through a fresh Frontier. The result
 // is byte-identical to a cold full sweep of the new requirements,
-// pinned the same way shard merge parity is (see delta_test.go and the
-// service parity tests).
+// pinned the same way partition merge parity is (see delta_test.go and
+// the service parity tests).
 
 package core
 
@@ -87,15 +87,18 @@ func (s *DeltaState) Eligible(newReq Requirements) bool {
 // Observe records one built candidate of the state's own full explore.
 // It must see every built candidate of a pruned full sweep of the
 // state's requirements, in any order, before Seal.
-func (s *DeltaState) Observe(c Candidate) {
-	s.evals = append(s.evals, pointEval{
+func (s *DeltaState) Observe(c Candidate) { s.evals = append(s.evals, evalOf(c)) }
+
+// evalOf is the retained evaluation of a built candidate.
+func evalOf(c Candidate) pointEval {
+	return pointEval{
 		seq:       c.Seq,
 		area:      c.AreaMm2,
 		power:     c.PowerMW,
 		cost:      c.CostUSD,
 		sustained: c.SustainedGBps,
 		clock:     c.Macro.ClockMHz,
-	})
+	}
 }
 
 // Seal marks the recording complete: the state now covers the
@@ -121,15 +124,11 @@ func (s *DeltaState) Seal() {
 // Evals returns the number of retained point evaluations.
 func (s *DeltaState) Evals() int { return len(s.evals) }
 
-// DeltaResult is the outcome of a delta re-exploration, equivalent to
-// the final state of a cold pruned explore of the new requirements.
+// DeltaResult is the outcome of a delta re-exploration: the fold of a
+// cold pruned sweep of the new requirements, byte-identical to it with
+// the front fully materialized, plus how it was obtained.
 type DeltaResult struct {
-	// Stats carries the folded counters exactly as the cold run's final
-	// progress snapshot would (Done set, timing fields zero).
-	Stats ExploreStats
-	// Frontier is the feasible Pareto front in canonical order, fully
-	// materialized — byte-identical to the cold run's.
-	Frontier []Candidate
+	SweepResult
 	// Swept counts points enumerated fresh by this call; Reused counts
 	// retained built evaluations that served the result instead of
 	// being re-computed.
@@ -169,30 +168,19 @@ func DeltaExplore(ctx context.Context, s *DeltaState, newReq Requirements, worke
 	// dropped on arrival.
 	var swept, freshBuilt int64
 	var fresh []pointEval
+	record := func(c Candidate) {
+		if rangesContain(s.coverage, c.Seq) {
+			return
+		}
+		if rangesContain(needed, c.Seq) {
+			freshBuilt++
+		}
+		fresh = append(fresh, evalOf(c))
+	}
 	for _, r := range missing {
 		swept += int64(r.To - r.From)
-		ch, err := ExploreContext(ctx, newReq,
-			WithWorkers(workers), WithSeqRange(r.From, r.To))
-		if err != nil {
-			return nil, err
-		}
-		for c := range ch {
-			if rangesContain(s.coverage, c.Seq) {
-				continue
-			}
-			if rangesContain(needed, c.Seq) {
-				freshBuilt++
-			}
-			fresh = append(fresh, pointEval{
-				seq:       c.Seq,
-				area:      c.AreaMm2,
-				power:     c.PowerMW,
-				cost:      c.CostUSD,
-				sustained: c.SustainedGBps,
-				clock:     c.Macro.ClockMHz,
-			})
-		}
-		if err := ctx.Err(); err != nil {
+		if _, err := SweepContext(ctx, newReq, WithWorkers(workers),
+			WithSeqRange(r.From, r.To), WithObserver(record)); err != nil {
 			return nil, err // incomplete sweep: leave the state untouched
 		}
 	}
@@ -255,24 +243,17 @@ func DeltaExplore(ctx context.Context, s *DeltaState, newReq Requirements, worke
 		out = append(out, c)
 	}
 
-	skipped, skippedBuildable := newPlan.tally(0, s.space.total)
-	res := &DeltaResult{
-		Stats: ExploreStats{
-			Enumerated:       int64(s.space.total) - skipped,
-			Built:            built,
-			Infeasible:       built - feasible,
-			Skipped:          skipped,
-			SkippedBuildable: skippedBuildable,
-			Pruned:           front.Pruned(),
-			FrontSize:        front.Size(),
-			Workers:          workers,
-			Done:             true,
+	_, skippedBuildable := newPlan.tally(0, s.space.total)
+	return &DeltaResult{
+		SweepResult: SweepResult{
+			Enumerated: int64(s.space.total),
+			Built:      built + skippedBuildable,
+			Infeasible: built - feasible + skippedBuildable,
+			Frontier:   out,
 		},
-		Frontier: out,
-		Swept:    swept,
-		Reused:   built - freshBuilt,
-	}
-	return res, nil
+		Swept:  swept,
+		Reused: built - freshBuilt,
+	}, nil
 }
 
 // rangesContain reports whether a sorted disjoint range list contains

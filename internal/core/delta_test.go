@@ -9,69 +9,54 @@ import (
 	"edram/internal/tech"
 )
 
-// coldDelta runs a cold pruned full sweep of req and returns the final
-// frontier (canonical order) plus folded stats — the reference
-// DeltaExplore must reproduce exactly. The front is folded from the
-// stream exactly as the engine folds its own (order-independent).
-func coldDelta(t *testing.T, req Requirements) ([]Candidate, ExploreStats) {
-	t.Helper()
-	stream, stats := collectSorted(t, req, WithPruning())
-	front := NewFrontier()
-	for _, c := range stream {
-		front.Add(c)
-	}
-	return front.Candidates(), stats
-}
-
 // recordedState runs one cold pruned explore of req and builds a sealed
-// DeltaState from its stream, as the service does.
+// DeltaState from its built candidates, as the service does.
 func recordedState(t *testing.T, req Requirements) *DeltaState {
 	t.Helper()
 	s, err := NewDeltaState(req)
 	if err != nil {
 		t.Fatalf("NewDeltaState: %v", err)
 	}
-	ch, err := ExploreContext(context.Background(), req, WithPruning(),
-		WithObserver(s.Observe))
-	if err != nil {
-		t.Fatalf("ExploreContext: %v", err)
-	}
-	for range ch {
+	if _, err := SweepContext(context.Background(), req, WithPruning(), WithObserver(s.Observe)); err != nil {
+		t.Fatalf("SweepContext: %v", err)
 	}
 	s.Seal()
 	return s
 }
 
 // assertDeltaParity pins DeltaExplore(newReq) against a cold pruned
-// full sweep of newReq: identical frontier candidates (deep equal,
-// canonical order) and identical folded counters.
+// full sweep of newReq: the delta's fold equals the cold fold —
+// identical counters and frontier candidates (deep equal, canonical
+// order).
 func assertDeltaParity(t *testing.T, s *DeltaState, newReq Requirements) {
 	t.Helper()
 	res, err := DeltaExplore(context.Background(), s, newReq, 2)
 	if err != nil {
 		t.Fatalf("DeltaExplore: %v", err)
 	}
-	wantFront, wantStats := coldDelta(t, newReq)
-	if len(res.Frontier) != len(wantFront) {
-		t.Fatalf("frontier size %d != cold %d (req %+v)",
-			len(res.Frontier), len(wantFront), newReq)
+	var final ExploreStats
+	cold, err := SweepContext(context.Background(), newReq, WithPruning(),
+		WithProgress(func(s ExploreStats) { final = s }))
+	if err != nil {
+		t.Fatalf("SweepContext: %v", err)
 	}
-	for i := range wantFront {
-		if !reflect.DeepEqual(res.Frontier[i], wantFront[i]) {
+	got := res.SweepResult
+	if got.Enumerated != cold.Enumerated || got.Built != cold.Built || got.Infeasible != cold.Infeasible {
+		t.Fatalf("counters differ (req %+v):\ndelta %d/%d/%d\ncold  %d/%d/%d", newReq,
+			got.Enumerated, got.Built, got.Infeasible, cold.Enumerated, cold.Built, cold.Infeasible)
+	}
+	if len(got.Frontier) != len(cold.Frontier) {
+		t.Fatalf("frontier size %d != cold %d (req %+v)", len(got.Frontier), len(cold.Frontier), newReq)
+	}
+	for i := range cold.Frontier {
+		if !reflect.DeepEqual(got.Frontier[i], cold.Frontier[i]) {
 			t.Fatalf("frontier[%d] differs (req %+v):\ndelta %+v\ncold  %+v",
-				i, newReq, res.Frontier[i], wantFront[i])
+				i, newReq, got.Frontier[i], cold.Frontier[i])
 		}
 	}
-	rs, ws := res.Stats, wantStats
-	if rs.Enumerated != ws.Enumerated || rs.Built != ws.Built ||
-		rs.Infeasible != ws.Infeasible || rs.Skipped != ws.Skipped ||
-		rs.SkippedBuildable != ws.SkippedBuildable ||
-		rs.Pruned != ws.Pruned || rs.FrontSize != ws.FrontSize {
-		t.Fatalf("stats differ (req %+v):\ndelta %+v\ncold  %+v", newReq, rs, ws)
-	}
-	if res.Swept+res.Reused < rs.Built {
-		t.Fatalf("swept %d + reused %d cannot cover built %d",
-			res.Swept, res.Reused, rs.Built)
+	if res.Swept+res.Reused < final.Built {
+		t.Fatalf("swept %d + reused %d cannot cover the %d built points a cold sweep evaluates",
+			res.Swept, res.Reused, final.Built)
 	}
 }
 

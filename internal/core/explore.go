@@ -1,10 +1,12 @@
 // Parallel design-space exploration engine. The paper's study spans
 // interface width × banks × page length × block size × redundancy ×
 // process (§3); space lays that product out as Seq numbers, and
-// ExploreContext evaluates its points on a worker pool, streaming every
-// buildable Candidate to the caller while an incremental Pareto front
-// prunes dominated designs as results arrive. Explore/Recommend in
-// core.go are thin compatibility wrappers over this engine.
+// SweepContext evaluates its points on a worker pool and folds them in
+// the caller's goroutine: an incremental Pareto front prunes dominated
+// designs as results arrive, and the sweep returns one SweepResult.
+// Every other entry point reads that fold — ExploreContext streams
+// the built candidates through its observer, and Explore/Recommend in
+// core.go are thin compatibility wrappers.
 
 package core
 
@@ -153,7 +155,7 @@ func (s *space) at(seq int, d *[numDigits]int) Point {
 }
 
 // resolveProcesses returns the explore's process slice: the request's,
-// or the default DRAM-based process. ExploreContext passes the same
+// or the default DRAM-based process. A sweep passes the same
 // slice to the sweep and to the memo table so process identity resolves
 // by pointer on the hot path.
 func resolveProcesses(req Requirements) []tech.Process {
@@ -260,8 +262,8 @@ type ExploreStats struct {
 	// sweep — see prune.go); SkippedBuildable is the subset that would
 	// have produced a buildable macro, every one of them infeasible.
 	// Both stay zero without WithPruning. Enumerated/Built/Infeasible
-	// keep their exact semantics for enumerated points; use the
-	// Total* accessors for counts comparable to an unpruned run.
+	// keep their exact semantics for enumerated points; the sweep's
+	// SweepResult folds the skips back in.
 	Skipped          int64
 	SkippedBuildable int64
 	// Workers is the pool size; WallTime the elapsed time since the
@@ -274,20 +276,6 @@ type ExploreStats struct {
 	// (it stays false when the run was cancelled mid-sweep).
 	Done bool
 }
-
-// TotalPoints is the number of design points the run covered —
-// enumerated plus analytically skipped — matching the Enumerated count
-// of an unpruned run over the same range.
-func (s ExploreStats) TotalPoints() int64 { return s.Enumerated + s.Skipped }
-
-// TotalBuilt is the buildable-point count including skipped subspaces,
-// matching the Built count of an unpruned run over the same range.
-func (s ExploreStats) TotalBuilt() int64 { return s.Built + s.SkippedBuildable }
-
-// TotalInfeasible is the infeasible-point count including skipped
-// subspaces (every skipped buildable point is infeasible — that is
-// what justified skipping it), matching an unpruned run's Infeasible.
-func (s ExploreStats) TotalInfeasible() int64 { return s.Infeasible + s.SkippedBuildable }
 
 // PointsPerSec is the evaluation throughput of the run so far.
 func (s ExploreStats) PointsPerSec() float64 {
@@ -320,18 +308,19 @@ type exploreConfig struct {
 	pruned        bool
 }
 
-// ExploreOption configures ExploreContext / RecommendContext.
+// ExploreOption configures SweepContext, ExploreContext and
+// RecommendContext.
 type ExploreOption func(*exploreConfig)
 
 // WithWorkers sets the evaluation pool size (default
-// runtime.GOMAXPROCS(0)). n < 1 makes ExploreContext fail.
+// runtime.GOMAXPROCS(0)). n < 1 makes the sweep fail.
 func WithWorkers(n int) ExploreOption {
 	return func(c *exploreConfig) { c.workers = n }
 }
 
 // WithProgress registers a callback invoked (from the engine's collector
 // goroutine, serialized) every progress interval and once more when the
-// run completes.
+// run ends.
 func WithProgress(fn func(ExploreStats)) ExploreOption {
 	return func(c *exploreConfig) { c.progress = fn }
 }
@@ -342,10 +331,11 @@ func WithProgressEvery(n int) ExploreOption {
 	return func(c *exploreConfig) { c.progressEvery = n }
 }
 
-// WithObserver registers a callback invoked (serialized, in arrival
-// order) for every built candidate before it is sent on the result
-// channel — a tap for logging or incremental accounting that does not
-// consume the stream.
+// WithObserver registers a callback invoked (from the engine's
+// collector goroutine, serialized, in arrival order) for every built
+// candidate, feasible or not — before ExploreContext sends it on the
+// result channel. It is how a caller of SweepContext sees the
+// candidates the fold does not keep.
 func WithObserver(fn func(Candidate)) ExploreOption {
 	return func(c *exploreConfig) { c.observer = fn }
 }
@@ -374,7 +364,7 @@ func WithSeqRange(from, to int) ExploreOption {
 // are skipped analytically instead of evaluated (see prune.go). The
 // feasible candidates are identical to an unpruned run's; ExploreStats
 // accounts the skipped points in the Skipped/SkippedBuildable counters
-// so the Total* accessors still match the unpruned totals. Off by
+// and the SweepResult folds them back into the unpruned totals. Off by
 // default, which sweeps through the empty plan: Explore()'s
 // all-buildable-candidates contract and RecommendContext's
 // nearest-miss diagnostics want the full stream.
@@ -382,13 +372,74 @@ func WithPruning() ExploreOption {
 	return func(c *exploreConfig) { c.pruned = true }
 }
 
-// ExploreContext enumerates and evaluates the design space on a worker
-// pool, streaming every buildable candidate (feasible or not) on the
-// returned channel. The channel is closed when the sweep is exhausted
-// or ctx is cancelled; per-candidate order is non-deterministic across
-// workers, but Candidate.Seq restores canonical enumeration order.
-// The error return covers invalid requirements or options only.
-func ExploreContext(ctx context.Context, req Requirements, opts ...ExploreOption) (<-chan Candidate, error) {
+// SweepResult is a finished sweep folded to what every caller reads:
+// the counters of an unpruned sweep over the same range — points a
+// pruned sweep skipped analytically count as enumerated, and its
+// skipped buildable points as built and infeasible (that is what
+// justified skipping them) — and the feasible Pareto front in
+// canonical order.
+type SweepResult struct {
+	Enumerated int64
+	Built      int64
+	Infeasible int64
+	Frontier   []Candidate
+}
+
+// Pruned is the number of feasible candidates the front discarded:
+// every built candidate is infeasible, on the front, or was discarded
+// exactly once, whatever the arrival order or partitioning.
+func (r SweepResult) Pruned() int64 {
+	return r.Built - r.Infeasible - int64(len(r.Frontier))
+}
+
+// Merge folds r and more into the union result: counters sum and the
+// fronts merge through a fresh Frontier. Dominance is a strict partial
+// order, so the merged front is exactly the front the undivided sweep
+// produces, independent of partition boundaries and merge order. With
+// no argument it puts r's own front in canonical order.
+func (r SweepResult) Merge(more ...SweepResult) SweepResult {
+	front := NewFrontier()
+	out := SweepResult{}
+	for _, x := range append([]SweepResult{r}, more...) {
+		out.Enumerated += x.Enumerated
+		out.Built += x.Built
+		out.Infeasible += x.Infeasible
+		for _, c := range x.Frontier {
+			front.Add(c)
+		}
+	}
+	out.Frontier = front.Candidates()
+	return out
+}
+
+// Recommendations quantizes the front into at most four named
+// configurations, or says why there is none: nothing buildable, or
+// nothing feasible, naming the violated constraints of nearest — the
+// closest miss the caller tracked with CloserMiss through WithObserver
+// (the zero Candidate when it tracked none).
+func (r SweepResult) Recommendations(req Requirements, nearest Candidate) ([]Recommendation, error) {
+	if r.Built == 0 {
+		return nil, fmt.Errorf("core: no buildable configuration for %+v", req)
+	}
+	if len(r.Frontier) == 0 {
+		return nil, fmt.Errorf("core: no feasible configuration; closest misses: %v", nearest.Reasons)
+	}
+	return Quantize(r.Frontier), nil
+}
+
+// sweep is one validated explore: its options, its Seq layout and the
+// prune plan of the requested window [from, to).
+type sweep struct {
+	cfg      exploreConfig
+	space    *space
+	plan     *prunePlan
+	memo     *evalMemo
+	from, to int
+}
+
+// newSweep applies the options and validates them with the
+// requirements.
+func newSweep(req Requirements, opts []ExploreOption) (*sweep, error) {
 	cfg := exploreConfig{workers: runtime.GOMAXPROCS(0), progressEvery: 512, seqTo: maxSeq}
 	for _, o := range opts {
 		o(&cfg)
@@ -410,19 +461,48 @@ func ExploreContext(ctx context.Context, req Requirements, opts ...ExploreOption
 	if cfg.pruned {
 		plan = newPrunePlan(req, sp)
 	}
-	from, to := cfg.seqFrom, min(cfg.seqTo, sp.total)
-	batches := sweepRanges(ctx, sp, plan.enumerated(from, to))
+	return &sweep{cfg: cfg, space: sp, plan: plan, memo: newEvalMemo(req),
+		from: cfg.seqFrom, to: min(cfg.seqTo, sp.total)}, nil
+}
+
+// tap chains fn after the caller's observer.
+func (s *sweep) tap(fn func(Candidate)) {
+	user := s.cfg.observer
+	if user == nil {
+		s.cfg.observer = fn
+		return
+	}
+	s.cfg.observer = func(c Candidate) { user(c); fn(c) }
+}
+
+// SweepContext enumerates and evaluates the design space on a worker
+// pool and folds every evaluated point in the caller's goroutine: the
+// counters, the one Pareto front of the sweep, the observer and the
+// progress callbacks. It returns once the window is exhausted, or with
+// ctx's error once ctx is cancelled; either way its workers have exited.
+func SweepContext(ctx context.Context, req Requirements, opts ...ExploreOption) (SweepResult, error) {
+	s, err := newSweep(req, opts)
+	if err != nil {
+		return SweepResult{}, err
+	}
+	return s.run(ctx)
+}
+
+// run is the engine: a producer streams the window's points in batches,
+// workers evaluate them, and the calling goroutine folds the outcomes.
+func (s *sweep) run(ctx context.Context) (SweepResult, error) {
+	cfg := &s.cfg
+	batches := sweepRanges(ctx, s.space, s.plan.enumerated(s.from, s.to))
 	e := tech.DefaultElectrical()
 	ce := power.DefaultCoreEnergy()
-	memo := newEvalMemo(req)
 	start := time.Now() //nolint:edramvet/determinism // feeds ExploreStats.WallTime only, never results
 
 	// Workers: evaluate batches of points, forwarding outcomes
 	// (including unbuildable corners, so the collector can count
 	// enumeration) to the collector at batch granularity — per-point
 	// channel traffic would rival the evaluation cost itself. Both the
-	// point batches and the outcome slices are pooled: the consumer
-	// returns each slice once it has copied the contents out.
+	// point batches and the outcome slices are pooled: the collector
+	// returns each slice once it has read the contents.
 	results := make(chan *[]outcome, cfg.workers*2)
 	busy := make([]time.Duration, cfg.workers)
 	var wg sync.WaitGroup
@@ -440,7 +520,7 @@ func ExploreContext(ctx context.Context, req Requirements, opts ...ExploreOption
 				for i := range *bp {
 					pt := &(*bp)[i]
 					o := &outs[i]
-					o.ok = memo.evaluateInto(&o.cand, pt, e, ce, &arena)
+					o.ok = s.memo.evaluateInto(&o.cand, pt, e, ce, &arena)
 					o.cand.Seq = pt.Seq
 				}
 				putPointBatch(bp)
@@ -459,92 +539,113 @@ func ExploreContext(ctx context.Context, req Requirements, opts ...ExploreOption
 		close(results)
 	}()
 
-	// Collector: single goroutine owning the stats and the incremental
-	// front, so observer/progress callbacks need no locking.
+	// Collector: the calling goroutine owns the stats and the front, so
+	// observer and progress callbacks need no locking. After a
+	// cancellation it only drains, until the workers have exited.
+	front := NewFrontier()
+	stats := ExploreStats{Workers: cfg.workers}
+	stats.Skipped, stats.SkippedBuildable = s.plan.tally(s.from, s.to)
+	snapshot := func(done bool) ExploreStats {
+		st := stats
+		st.WallTime = time.Since(start)
+		st.FrontSize = front.Size()
+		st.Pruned = front.Pruned()
+		st.Done = done
+		if done {
+			st.WorkerBusy = append([]time.Duration(nil), busy...)
+		}
+		return st
+	}
+	lastProgress := int64(0)
+	for op := range results {
+		if ctx.Err() != nil {
+			outcomePool.Put(op)
+			continue
+		}
+		for i := range *op {
+			o := &(*op)[i]
+			stats.Enumerated++
+			if !o.ok { // unbuildable corner of the space
+				continue
+			}
+			stats.Built++
+			if !o.cand.Feasible {
+				stats.Infeasible++
+			}
+			front.Add(o.cand)
+			if cfg.observer != nil {
+				cfg.observer(o.cand)
+			}
+		}
+		outcomePool.Put(op)
+		if cfg.progress != nil && stats.Enumerated-lastProgress >= int64(cfg.progressEvery) {
+			lastProgress = stats.Enumerated
+			cfg.progress(snapshot(false))
+		}
+	}
+	err := ctx.Err()
+	if cfg.progress != nil {
+		cfg.progress(snapshot(err == nil))
+	}
+	if err != nil {
+		return SweepResult{}, err
+	}
+	return SweepResult{
+		Enumerated: stats.Enumerated + stats.Skipped,
+		Built:      stats.Built + stats.SkippedBuildable,
+		Infeasible: stats.Infeasible + stats.SkippedBuildable,
+		Frontier:   front.Candidates(),
+	}, nil
+}
+
+// ExploreContext streams every buildable candidate (feasible or not)
+// of the sweep on the returned channel: it validates synchronously,
+// then runs SweepContext in a goroutine with an observer that sends
+// each built candidate after the caller's own observer ran. The
+// channel is closed when the sweep is exhausted or ctx is cancelled;
+// per-candidate order is non-deterministic across workers, but
+// Candidate.Seq restores canonical enumeration order. The error return
+// covers invalid requirements or options only.
+func ExploreContext(ctx context.Context, req Requirements, opts ...ExploreOption) (<-chan Candidate, error) {
+	s, err := newSweep(req, opts)
+	if err != nil {
+		return nil, err
+	}
 	out := make(chan Candidate, 4*sweepBatch)
+	s.tap(func(c Candidate) {
+		select {
+		case out <- c:
+		case <-ctx.Done():
+		}
+	})
 	go func() {
 		defer close(out)
-		front := NewFrontier()
-		stats := ExploreStats{Workers: cfg.workers}
-		stats.Skipped, stats.SkippedBuildable = plan.tally(from, to)
-		snapshot := func(done bool) ExploreStats {
-			s := stats
-			s.WallTime = time.Since(start)
-			s.FrontSize = front.Size()
-			s.Pruned = front.Pruned()
-			s.Done = done
-			if done {
-				s.WorkerBusy = append([]time.Duration(nil), busy...)
-			}
-			return s
-		}
-		lastProgress := int64(0)
-		for op := range results {
-			for i := range *op {
-				o := &(*op)[i]
-				stats.Enumerated++
-				if !o.ok { // unbuildable corner of the space
-					continue
-				}
-				stats.Built++
-				if !o.cand.Feasible {
-					stats.Infeasible++
-				}
-				front.Add(o.cand)
-				if cfg.observer != nil {
-					cfg.observer(o.cand)
-				}
-				select {
-				case out <- o.cand:
-				case <-ctx.Done():
-					return
-				}
-			}
-			outcomePool.Put(op)
-			if cfg.progress != nil && stats.Enumerated-lastProgress >= int64(cfg.progressEvery) {
-				lastProgress = stats.Enumerated
-				cfg.progress(snapshot(false))
-			}
-		}
-		if cfg.progress != nil {
-			cfg.progress(snapshot(ctx.Err() == nil))
-		}
+		_, _ = s.run(ctx) // the consumer sees a cancellation through its own ctx
 	}()
 	return out, nil
 }
 
-// RecommendContext streams the design space through an incremental
+// RecommendContext sweeps the design space through the incremental
 // Pareto front and quantizes the feasible survivors into at most four
-// named configurations. It is the context-aware, parallel form of
+// named configurations, tracking the closest miss for the error when
+// nothing is feasible. It is the context-aware, parallel form of
 // Recommend.
 func RecommendContext(ctx context.Context, req Requirements, opts ...ExploreOption) ([]Recommendation, error) {
-	ch, err := ExploreContext(ctx, req, opts...)
+	s, err := newSweep(req, opts)
 	if err != nil {
 		return nil, err
 	}
-	front := NewFrontier()
-	var built int64
 	var nearest Candidate
-	for c := range ch {
-		built++
-		if c.Feasible {
-			front.Add(c)
-			continue
-		}
-		if CloserMiss(&c, &nearest) {
+	s.tap(func(c Candidate) {
+		if !c.Feasible && CloserMiss(&c, &nearest) {
 			nearest = c
 		}
-	}
-	if err := ctx.Err(); err != nil {
+	})
+	res, err := s.run(ctx)
+	if err != nil {
 		return nil, err
 	}
-	if built == 0 {
-		return nil, fmt.Errorf("core: no buildable configuration for %+v", req)
-	}
-	if front.Size() == 0 {
-		return nil, fmt.Errorf("core: no feasible configuration; closest misses: %v", nearest.Reasons)
-	}
-	return Quantize(front.Candidates()), nil
+	return res.Recommendations(req, nearest)
 }
 
 // CloserMiss reports whether the infeasible candidate c is a closer

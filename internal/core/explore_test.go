@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -73,6 +76,152 @@ func TestExploreContextMatchesExplore(t *testing.T) {
 		if got[c.Seq] != candidateKey(c) {
 			t.Fatalf("candidate Seq=%d differs:\n%s\nvs\n%s", c.Seq, got[c.Seq], candidateKey(c))
 		}
+	}
+}
+
+// TestExploreContextMatchesSweep pins the streaming wrapper to the
+// fold it wraps: draining ExploreContext yields exactly the built
+// candidates SweepContext's observer sees (by Seq), and folding the
+// stream through a Frontier reproduces the sweep's frontier.
+func TestExploreContextMatchesSweep(t *testing.T) {
+	r := Requirements{CapacityMbit: 32, BandwidthGBps: 2.5, HitRate: 0.7, MaxAreaMm2: 60}
+	for name, opts := range map[string][]ExploreOption{
+		"full":          {WithWorkers(2)},
+		"pruned-window": {WithWorkers(3), WithPruning(), WithSeqRange(500, 3000)},
+	} {
+		want := map[int]string{}
+		res, err := SweepContext(context.Background(), r,
+			append(opts, WithObserver(func(c Candidate) { want[c.Seq] = candidateKey(c) }))...)
+		if err != nil {
+			t.Fatalf("%s: SweepContext: %v", name, err)
+		}
+		ch, err := ExploreContext(context.Background(), r, opts...)
+		if err != nil {
+			t.Fatalf("%s: ExploreContext: %v", name, err)
+		}
+		got := map[int]string{}
+		front := NewFrontier()
+		for c := range ch {
+			got[c.Seq] = candidateKey(c)
+			front.Add(c)
+		}
+		if len(got) != len(want) || int64(len(got)) > res.Built {
+			t.Fatalf("%s: streamed %d candidates, the fold observed %d (built %d)", name, len(got), len(want), res.Built)
+		}
+		for seq, k := range want {
+			if got[seq] != k {
+				t.Fatalf("%s: candidate Seq=%d differs:\nstream %s\nfold   %s", name, seq, got[seq], k)
+			}
+		}
+		streamed := front.Candidates()
+		if len(streamed) == 0 || len(streamed) != len(res.Frontier) {
+			t.Fatalf("%s: stream front has %d members, the fold's %d", name, len(streamed), len(res.Frontier))
+		}
+		for i := range streamed {
+			if candidateKey(streamed[i]) != candidateKey(res.Frontier[i]) {
+				t.Fatalf("%s: front member %d differs:\nstream %s\nfold   %s", name, i,
+					candidateKey(streamed[i]), candidateKey(res.Frontier[i]))
+			}
+		}
+	}
+}
+
+func TestSweepContextCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var final ExploreStats
+	seen := 0
+	_, err := SweepContext(ctx, req(), WithWorkers(2),
+		WithObserver(func(Candidate) {
+			if seen++; seen == 3 {
+				cancel()
+			}
+		}),
+		WithProgress(func(s ExploreStats) { final = s }))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
+	}
+	if final.Done {
+		t.Error("cancelled sweep reported a Done snapshot")
+	}
+}
+
+// synthetic builds a feasible candidate on a synthetic trade-off curve:
+// off the front when dominated is set, possibly on it otherwise.
+func synthetic(seq int, dominated bool) Candidate {
+	c := Candidate{
+		Seq:           seq,
+		AreaMm2:       1 + float64(seq%13),
+		PowerMW:       100 - float64(seq%13),
+		SustainedGBps: 1,
+		Feasible:      true,
+	}
+	c.CostUSD = c.AreaMm2
+	c.CostPerMbitUSD = c.AreaMm2
+	if dominated {
+		c.AreaMm2 += 5
+		c.PowerMW += 5
+		c.CostUSD += 5
+		c.CostPerMbitUSD += 5
+	}
+	return c
+}
+
+func TestMergeMatchesSingleFrontier(t *testing.T) {
+	// Build one population, compute its front in one pass, then merge
+	// per-partition fronts over random boundaries and compare.
+	var pop []Candidate
+	for seq := 0; seq < 400; seq++ {
+		pop = append(pop, synthetic(seq, seq%3 == 0))
+	}
+	whole := NewFrontier()
+	for _, c := range pop {
+		whole.Add(c)
+	}
+	want := whole.Candidates()
+
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		// Random sorted distinct cut points over (0, len(pop)).
+		cuts := map[int]bool{}
+		for n := rng.Intn(9); len(cuts) < n; {
+			cuts[1+rng.Intn(len(pop)-1)] = true
+		}
+		bounds := []int{0, len(pop)}
+		for c := range cuts {
+			bounds = append(bounds, c)
+		}
+		sort.Ints(bounds)
+		var parts []SweepResult
+		for i := 0; i+1 < len(bounds); i++ {
+			local := NewFrontier()
+			for _, c := range pop[bounds[i]:bounds[i+1]] {
+				local.Add(c)
+			}
+			parts = append(parts, SweepResult{Frontier: local.Candidates()})
+		}
+		// Merge order must not matter either.
+		rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+		got := parts[0].Merge(parts[1:]...).Frontier
+		if len(got) != len(want) {
+			t.Fatalf("trial %d (%d parts): merged front has %d members, want %d", trial, len(parts), len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Seq != want[i].Seq {
+				t.Fatalf("trial %d: merged front member %d is seq %d, want %d", trial, i, got[i].Seq, want[i].Seq)
+			}
+		}
+	}
+}
+
+func TestMergeSumsCounters(t *testing.T) {
+	var parts []SweepResult
+	for i := 0; i < 3; i++ {
+		parts = append(parts, SweepResult{Enumerated: 10, Built: 8, Infeasible: int64(i)})
+	}
+	got := parts[0].Merge(parts[1:]...)
+	want := fmt.Sprintf("%d/%d/%d", 30, 24, 3)
+	if g := fmt.Sprintf("%d/%d/%d", got.Enumerated, got.Built, got.Infeasible); g != want {
+		t.Fatalf("Merge counters = %s, want %s", g, want)
 	}
 }
 

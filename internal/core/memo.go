@@ -67,7 +67,7 @@ type skelEntry struct {
 // entry on every lookup), hits take one uncontended RLock, and entries
 // are filled exactly once via their sync.Once outside the write lock so
 // workers racing on the same projection block only for the first
-// computation. The table is scoped to one ExploreContext call: the
+// computation. The table is scoped to one sweep: the
 // requirements (defect density, hit rate) are part of every cached
 // computation and must not leak across runs.
 type evalMemo struct {

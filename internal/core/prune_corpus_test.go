@@ -46,8 +46,8 @@ func TestPrunedParityScenarioCorpus(t *testing.T) {
 			levels++
 			req := lvl.Requirements
 			t.Run(e.Name()+"/"+lvl.Name, func(t *testing.T) {
-				plain, ps := corpusCollect(t, req)
-				pruned, qs := corpusCollect(t, req, core.WithPruning())
+				plain, ps, pr := corpusCollect(t, req)
+				pruned, qs, qr := corpusCollect(t, req, core.WithPruning())
 				bySeq := make(map[int]core.Candidate, len(plain))
 				for _, c := range plain {
 					bySeq[c.Seq] = c
@@ -71,10 +71,8 @@ func TestPrunedParityScenarioCorpus(t *testing.T) {
 					t.Fatalf("removed %d != SkippedBuildable %d",
 						len(plain)-len(pruned), qs.SkippedBuildable)
 				}
-				if qs.TotalPoints() != ps.Enumerated || qs.TotalBuilt() != ps.Built ||
-					qs.TotalInfeasible() != ps.Infeasible ||
-					qs.Pruned != ps.Pruned || qs.FrontSize != ps.FrontSize {
-					t.Fatalf("folded stats diverge:\nunpruned %+v\npruned   %+v", ps, qs)
+				if !reflect.DeepEqual(pr, qr) || qs.Pruned != ps.Pruned || qs.FrontSize != ps.FrontSize {
+					t.Fatalf("folds diverge:\nunpruned %+v\npruned   %+v", ps, qs)
 				}
 			})
 		}
@@ -84,25 +82,24 @@ func TestPrunedParityScenarioCorpus(t *testing.T) {
 	}
 }
 
-func corpusCollect(t *testing.T, req core.Requirements, opts ...core.ExploreOption) ([]core.Candidate, core.ExploreStats) {
+func corpusCollect(t *testing.T, req core.Requirements, opts ...core.ExploreOption) ([]core.Candidate, core.ExploreStats, core.SweepResult) {
 	t.Helper()
 	var final core.ExploreStats
-	opts = append(opts, core.WithProgress(func(s core.ExploreStats) {
-		if s.Done {
-			final = s
-		}
-	}))
-	ch, err := core.ExploreContext(context.Background(), req, opts...)
-	if err != nil {
-		t.Fatalf("ExploreContext: %v", err)
-	}
 	var out []core.Candidate
-	for c := range ch {
-		out = append(out, c)
+	opts = append(opts,
+		core.WithProgress(func(s core.ExploreStats) {
+			if s.Done {
+				final = s
+			}
+		}),
+		core.WithObserver(func(c core.Candidate) { out = append(out, c) }))
+	res, err := core.SweepContext(context.Background(), req, opts...)
+	if err != nil {
+		t.Fatalf("SweepContext: %v", err)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	if !final.Done {
 		t.Fatalf("no final snapshot")
 	}
-	return out, final
+	return out, final, res
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"sort"
 	"testing"
 
 	"edram/internal/edram"
@@ -11,33 +12,28 @@ import (
 	"edram/internal/tech"
 )
 
-// collectSorted runs ExploreContext with the options and returns the
-// candidate stream in canonical Seq order plus the final stats.
-func collectSorted(t *testing.T, req Requirements, opts ...ExploreOption) ([]Candidate, ExploreStats) {
+// collectSorted sweeps with the options and returns the built
+// candidates in canonical Seq order, the final stats and the fold.
+func collectSorted(t *testing.T, req Requirements, opts ...ExploreOption) ([]Candidate, ExploreStats, SweepResult) {
 	t.Helper()
 	var final ExploreStats
-	opts = append(opts, WithProgress(func(s ExploreStats) {
-		if s.Done {
-			final = s
-		}
-	}))
-	ch, err := ExploreContext(context.Background(), req, opts...)
-	if err != nil {
-		t.Fatalf("ExploreContext: %v", err)
-	}
 	var out []Candidate
-	for c := range ch {
-		out = append(out, c)
+	opts = append(opts,
+		WithProgress(func(s ExploreStats) {
+			if s.Done {
+				final = s
+			}
+		}),
+		WithObserver(func(c Candidate) { out = append(out, c) }))
+	res, err := SweepContext(context.Background(), req, opts...)
+	if err != nil {
+		t.Fatalf("SweepContext: %v", err)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Seq < out[j-1].Seq; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	if !final.Done {
 		t.Fatalf("no final progress snapshot")
 	}
-	return out, final
+	return out, final, res
 }
 
 // pruneParityReqs is the constraint matrix the parity tests sweep:
@@ -65,8 +61,8 @@ func pruneParityReqs() map[string]Requirements {
 // a pruned run of the same window: the pruned stream is exactly the
 // unpruned stream minus analytically skipped points, every candidate
 // the pruning removed was infeasible (soundness), the feasible sets are
-// identical, and the folded stats totals match the unpruned counters.
-func assertPruneParity(t *testing.T, plain, pruned []Candidate, ps, qs ExploreStats) {
+// identical, and the pruned fold equals the unpruned one.
+func assertPruneParity(t *testing.T, plain, pruned []Candidate, ps, qs ExploreStats, pr, qr SweepResult) {
 	t.Helper()
 	if ps.Skipped != 0 || ps.SkippedBuildable != 0 {
 		t.Fatalf("unpruned run reported skips: %+v", ps)
@@ -95,14 +91,12 @@ func assertPruneParity(t *testing.T, plain, pruned []Candidate, ps, qs ExploreSt
 		t.Fatalf("pruning removed %d built candidates but SkippedBuildable is %d",
 			len(plain)-len(pruned), qs.SkippedBuildable)
 	}
-	if qs.TotalPoints() != ps.Enumerated {
-		t.Fatalf("TotalPoints %d != unpruned Enumerated %d", qs.TotalPoints(), ps.Enumerated)
+	if pr.Enumerated != ps.Enumerated || pr.Built != ps.Built || pr.Infeasible != ps.Infeasible {
+		t.Fatalf("unpruned fold %d/%d/%d differs from its counters %+v", pr.Enumerated, pr.Built, pr.Infeasible, ps)
 	}
-	if qs.TotalBuilt() != ps.Built {
-		t.Fatalf("TotalBuilt %d != unpruned Built %d", qs.TotalBuilt(), ps.Built)
-	}
-	if qs.TotalInfeasible() != ps.Infeasible {
-		t.Fatalf("TotalInfeasible %d != unpruned Infeasible %d", qs.TotalInfeasible(), ps.Infeasible)
+	if !reflect.DeepEqual(pr, qr) {
+		t.Fatalf("folds differ:\nunpruned %d/%d/%d, %d front\npruned   %d/%d/%d, %d front",
+			pr.Enumerated, pr.Built, pr.Infeasible, len(pr.Frontier), qr.Enumerated, qr.Built, qr.Infeasible, len(qr.Frontier))
 	}
 	if qs.Pruned != ps.Pruned || qs.FrontSize != ps.FrontSize {
 		t.Fatalf("front counters differ: pruned %+v vs unpruned %+v", qs, ps)
@@ -113,15 +107,15 @@ func TestPrunedExploreParity(t *testing.T) {
 	for name, req := range pruneParityReqs() {
 		req := req
 		t.Run(name, func(t *testing.T) {
-			plain, ps := collectSorted(t, req)
-			pruned, qs := collectSorted(t, req, WithPruning())
-			assertPruneParity(t, plain, pruned, ps, qs)
+			plain, ps, pr := collectSorted(t, req)
+			pruned, qs, qr := collectSorted(t, req, WithPruning())
+			assertPruneParity(t, plain, pruned, ps, qs, pr, qr)
 		})
 	}
 }
 
 // TestPrunedExploreRangeParity pins byte-compatibility of Seq numbering
-// under pruning for ranged sweeps — the property shard partitions and
+// under pruning for ranged sweeps — the property job partitions and
 // job checkpoints rely on: a window of a pruned sweep equals the same
 // window of an unpruned sweep, and the windowed tallies still fold to
 // the unpruned window totals.
@@ -132,9 +126,9 @@ func TestPrunedExploreRangeParity(t *testing.T) {
 	windows := [][2]int{{0, total}, {0, total / 3}, {total / 3, 2 * total / 3},
 		{2 * total / 3, total}, {total / 2, total/2 + 1}, {7, 777}}
 	for _, w := range windows {
-		plain, ps := collectSorted(t, req, WithSeqRange(w[0], w[1]))
-		pruned, qs := collectSorted(t, req, WithSeqRange(w[0], w[1]), WithPruning())
-		assertPruneParity(t, plain, pruned, ps, qs)
+		plain, ps, pr := collectSorted(t, req, WithSeqRange(w[0], w[1]))
+		pruned, qs, qr := collectSorted(t, req, WithSeqRange(w[0], w[1]), WithPruning())
+		assertPruneParity(t, plain, pruned, ps, qs, pr, qr)
 	}
 }
 

@@ -105,8 +105,8 @@ func (s *Store) removeFile(j *Job) {
 // entries: terminal records become queryable terminal jobs; running
 // records are restarted through the resolver with their persisted
 // state handed to the runner via Handle.Resumed. Files from another
-// format version or with unresolvable kinds are left on disk and
-// reported, never deleted. Call once, after NewStore and before
+// format version, with an unknown status or with unresolvable kinds
+// are left on disk and reported, never deleted. Call once, after NewStore and before
 // serving traffic.
 func (s *Store) Resume(resolve Resolver) (restarted int, err error) {
 	if s.cfg.Dir == "" {
@@ -138,6 +138,10 @@ func (s *Store) Resume(resolve Resolver) (restarted int, err error) {
 		}
 		if !idPattern.MatchString(rec.ID) || name != rec.ID+".json" {
 			errs = append(errs, fmt.Errorf("jobs: checkpoint %s: id %q does not match file", name, rec.ID))
+			continue
+		}
+		if !rec.Status.known() {
+			errs = append(errs, fmt.Errorf("jobs: checkpoint %s: unknown status %q", name, rec.Status))
 			continue
 		}
 

@@ -54,6 +54,15 @@ const (
 // Terminal reports whether the state is final.
 func (s State) Terminal() bool { return s != StateRunning }
 
+// known reports whether s is one of the four lifecycle states.
+func (s State) known() bool {
+	switch s {
+	case StateRunning, StateSucceeded, StateFailed, StateCancelled:
+		return true
+	}
+	return false
+}
+
 // Progress is the wire-visible progress snapshot a runner publishes.
 // Done/Total are in the runner's own unit (design points for explores,
 // trials for reliability campaigns, hierarchy levels for scenarios).

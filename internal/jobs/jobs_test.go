@@ -406,3 +406,55 @@ func TestCheckpointedJobsLeaveTerminalRecords(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeRejectsUnknownStatus: a record whose status is none of the
+// four lifecycle states is reported and left on disk, not loaded as a
+// job that stays "not yet finished" forever.
+func TestResumeRejectsUnknownStatus(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "typo.json"),
+		[]byte(`{"format_version":1,"id":"typo","kind":"test","status":"runing"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestStore(t, Config{Dir: dir})
+	restarted, err := s.Resume(func(string, json.RawMessage) (RunFunc, error) {
+		return nil, errors.New("no runners here")
+	})
+	if restarted != 0 || err == nil || !strings.Contains(err.Error(), `unknown status "runing"`) {
+		t.Fatalf("resume: %d restarted, err %v; want 0 and an error naming the status", restarted, err)
+	}
+	if len(s.List()) != 0 {
+		t.Errorf("record with an unknown status materialized: %+v", s.List())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "typo.json")); err != nil {
+		t.Errorf("typo.json removed: %v", err)
+	}
+}
+
+// FuzzCheckpointRecord writes arbitrary bytes as a ckpt/v1 file and
+// resumes a store over it: Resume never panics, and any record it
+// accepts is a job with a known status under its file's id.
+func FuzzCheckpointRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "fuzzjob.json"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewStore(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close(5 * time.Second)
+		_, _ = s.Resume(func(kind string, _ json.RawMessage) (RunFunc, error) {
+			if kind != "test" {
+				return nil, fmt.Errorf("unknown kind %q", kind)
+			}
+			return func(context.Context, *Handle) ([]byte, error) { return nil, errors.New("fuzz runner") }, nil
+		})
+		for _, snap := range s.List() {
+			if !snap.State.known() || snap.ID != "fuzzjob" {
+				t.Fatalf("accepted record %+v: want a known status under id fuzzjob", snap)
+			}
+		}
+	})
+}

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,27 +12,47 @@ import (
 	"testing"
 
 	"edram/internal/core"
-	"edram/internal/shard"
 )
 
-// writeExploreJob persists a running explore job of testReq with the
-// given checkpoint state into dir, as a daemon killed mid-sweep leaves
-// it, and returns the job id.
-func writeExploreJob(t *testing.T, dir, state string) string {
+// writeJobRecord persists a running job of the POST /v1/jobs body
+// with the given checkpoint state into dir, as a daemon killed mid-run
+// leaves it, and returns the job id.
+func writeJobRecord(t *testing.T, dir, body, state string) string {
 	t.Helper()
-	var body RequirementsRequest
-	if err := strictUnmarshal([]byte(testReq), &body); err != nil {
+	var req JobRequest
+	if err := strictUnmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	key := HashKey("job", "job/v1|kind=explore|"+body.Requirements.CanonicalKey())
-	id := key[strings.IndexByte(key, ':')+1:]
-	record := `{"format_version":1,"id":"` + id + `","kind":"explore","canonical_key":"` + key + `",` +
-		`"status":"running","request":` + jobTestReq + `,"state":` + state +
-		`,"progress":{"done":50,"total":2304,"checkpoints":1}}`
-	if err := os.WriteFile(filepath.Join(dir, id+".json"), []byte(record), 0o644); err != nil {
+	job, err := (&Server{cfg: Config{}.withDefaults()}).compileJob(req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return id
+	record := `{"format_version":1,"id":"` + job.id + `","kind":"` + job.kind + `","canonical_key":"` + job.key + `",` +
+		`"status":"running","request":` + body + `,"state":` + state +
+		`,"progress":{"done":1,"total":2,"checkpoints":1}}`
+	if err := os.WriteFile(filepath.Join(dir, job.id+".json"), []byte(record), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return job.id
+}
+
+// resumeFailed resumes the one job recorded in dir on a fresh server
+// and requires it to fail with an error naming its checkpoint. It
+// returns the server for follow-up requests.
+func resumeFailed(t *testing.T, dir, id string) *httptest.Server {
+	t.Helper()
+	srv := NewServer(Config{Workers: 2, JobDir: dir})
+	t.Cleanup(func() { srv.Close() })
+	if n, err := srv.ResumeJobs(); err != nil || n != 1 {
+		t.Fatalf("resume: %d jobs, err %v; want 1, nil", n, err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	st := waitJob(t, ts.Client(), ts.URL, id)
+	if st.State != "failed" || !strings.Contains(st.Error, "checkpoint") {
+		t.Fatalf("resumed job state %q (error %q), want failed naming the checkpoint", st.State, st.Error)
+	}
+	return ts
 }
 
 // TestResumeRejectsDamagedExploreCheckpoint: an explore job whose
@@ -41,23 +62,85 @@ func writeExploreJob(t *testing.T, dir, state string) string {
 func TestResumeRejectsDamagedExploreCheckpoint(t *testing.T) {
 	want := exploreReference(t)
 	dir := t.TempDir()
-	id := writeExploreJob(t, dir, `{"next_seq":50,"total":50,"built":7,"infeasible":7,"frontier":[]}`)
-
-	srv := NewServer(Config{Workers: 2, JobDir: dir})
-	defer srv.Close()
-	if n, err := srv.ResumeJobs(); err != nil || n != 1 {
-		t.Fatalf("resume: %d jobs, err %v; want 1, nil", n, err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	st := waitJob(t, ts.Client(), ts.URL, id)
-	if st.State != "failed" || !strings.Contains(st.Error, "checkpoint") {
-		t.Fatalf("resumed job state %q (error %q), want failed naming the checkpoint", st.State, st.Error)
-	}
+	id := writeJobRecord(t, dir, jobTestReq, `{"next_seq":50,"total":50,"built":7,"infeasible":7,"frontier":[]}`)
+	ts := resumeFailed(t, dir, id)
 	status, got, hdr := post(t, ts.Client(), ts.URL+"/v1/explore", testReq)
 	if status != http.StatusOK || hdr.Get("X-Cache") != "miss" || got != want {
 		t.Errorf("explore after the failed resume: status %d, X-Cache %q, identical=%t; want 200 miss with the cold bytes",
 			status, hdr.Get("X-Cache"), got == want)
+	}
+}
+
+// TestResumeRejectsDamagedScenarioCheckpoint: a scenario job whose
+// checkpoint claims levels it does not hold fails on resume and fills
+// no cache — the next POST /v1/scenario is a miss with the full bytes.
+func TestResumeRejectsDamagedScenarioCheckpoint(t *testing.T) {
+	ref := NewServer(Config{Workers: 2})
+	tsRef := httptest.NewServer(ref)
+	status, want, _ := post(t, tsRef.Client(), tsRef.URL+"/v1/scenario", scenarioDoc)
+	tsRef.Close()
+	ref.Close()
+	if status != http.StatusOK {
+		t.Fatalf("reference scenario: status %d: %s", status, want)
+	}
+	dir := t.TempDir()
+	id := writeJobRecord(t, dir, `{"kind":"scenario","scenario":`+scenarioDoc+`}`, `{"next_level":99,"levels":[]}`)
+	ts := resumeFailed(t, dir, id)
+	status, got, hdr := post(t, ts.Client(), ts.URL+"/v1/scenario", scenarioDoc)
+	if status != http.StatusOK || hdr.Get("X-Cache") != "miss" || got != want {
+		t.Errorf("scenario after the failed resume: status %d, X-Cache %q, identical=%t; want 200 miss with the full bytes",
+			status, hdr.Get("X-Cache"), got == want)
+	}
+}
+
+// TestResumeRejectsDamagedTrialsCheckpoint: a campaign whose
+// checkpoint skips trials it never ran fails on resume.
+func TestResumeRejectsDamagedTrialsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	resumeFailed(t, dir, writeJobRecord(t, dir, trialsTestReq, `{"next_trial":5,"results":[]}`))
+}
+
+// TestJobStateChecks pins the scenario and campaign checkpoint checks:
+// a state resumes only as the exact prefix the runner would have
+// written.
+func TestJobStateChecks(t *testing.T) {
+	trial := func(i ...int) string {
+		parts := make([]string, len(i))
+		for k, n := range i {
+			parts[k] = fmt.Sprintf(`{"trial":%d}`, n)
+		}
+		return "[" + strings.Join(parts, ",") + "]"
+	}
+	for _, tc := range []struct {
+		state string
+		ok    bool
+	}{
+		{`{"next_trial":0,"results":[]}`, true},
+		{`{"next_trial":2,"results":` + trial(0, 1) + `}`, true},
+		{`{"next_trial":12,"results":` + trial(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11) + `}`, true},
+		{`{"next_trial":5,"results":[]}`, false},
+		{`{"next_trial":1,"results":` + trial(0, 1) + `}`, false},
+		{`{"next_trial":2,"results":` + trial(1, 0) + `}`, false},
+		{`{"next_trial":13,"results":` + trial(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12) + `}`, false},
+		{`{"next_trial":-1,"results":[]}`, false},
+	} {
+		if _, err := resumeTrialsState(12, []byte(tc.state)); (err == nil) != tc.ok {
+			t.Errorf("trials state %s: err %v, want ok=%t", tc.state, err, tc.ok)
+		}
+	}
+	for _, tc := range []struct {
+		state string
+		ok    bool
+	}{
+		{`{"next_level":0,"levels":[]}`, true},
+		{`{"next_level":1,"levels":[{"name":"store"}]}`, true},
+		{`{"next_level":99,"levels":[]}`, false},
+		{`{"next_level":0,"levels":[{"name":"store"}]}`, false},
+		{`{"next_level":2,"levels":[{"name":"a"},{"name":"b"}]}`, false},
+	} {
+		if _, err := resumeScenarioState(1, []byte(tc.state)); (err == nil) != tc.ok {
+			t.Errorf("scenario state %s: err %v, want ok=%t", tc.state, err, tc.ok)
+		}
 	}
 }
 
@@ -79,7 +162,7 @@ func TestExploreJobStateCheck(t *testing.T) {
 		Enumerated: part.Enumerated,
 		Built:      part.Built,
 		Infeasible: part.Infeasible,
-		Pruned:     part.Built - part.Infeasible - int64(len(part.Frontier)),
+		Pruned:     part.Pruned(),
 	}
 	for _, c := range part.Frontier {
 		valid.Frontier = append(valid.Frontier, candidateJSON(c))
@@ -146,13 +229,13 @@ func FuzzExploreJobState(f *testing.F) {
 			st.Pruned < 0 || st.Pruned != st.Built-st.Infeasible-int64(len(st.Frontier)) {
 			t.Fatalf("accepted state with inconsistent counters: %+v", st)
 		}
-		acc := shard.Result{Enumerated: st.Enumerated, Built: st.Built, Infeasible: st.Infeasible}
+		acc := core.SweepResult{Enumerated: st.Enumerated, Built: st.Built, Infeasible: st.Infeasible}
 		for _, cj := range st.Frontier {
 			if cj.Seq < 0 || cj.Seq >= st.NextSeq {
 				t.Fatalf("accepted frontier seq %d outside [0, %d)", cj.Seq, st.NextSeq)
 			}
 			acc.Frontier = append(acc.Frontier, candidateFromJSON(cj))
 		}
-		shard.Merge(acc)
+		acc.Merge()
 	})
 }

@@ -24,7 +24,6 @@ import (
 	"edram/internal/jobs"
 	"edram/internal/reliab"
 	"edram/internal/scenario"
-	"edram/internal/shard"
 )
 
 // JobRequest is the POST /v1/jobs body: a kind plus exactly the
@@ -504,13 +503,13 @@ func (s *Server) sweepExploreJob(ctx context.Context, h *jobs.Handle, req core.R
 	if err != nil {
 		return nil, err
 	}
-	acc := shard.Result{Enumerated: st.Enumerated, Built: st.Built, Infeasible: st.Infeasible}
+	acc := core.SweepResult{Enumerated: st.Enumerated, Built: st.Built, Infeasible: st.Infeasible}
 	for _, cj := range st.Frontier {
 		acc.Frontier = append(acc.Frontier, candidateFromJSON(cj))
 	}
 	// Folding the checkpointed front alone puts it in canonical order,
 	// which the response needs when no partition is left to sweep.
-	acc = shard.Merge(acc)
+	acc = acc.Merge()
 	for _, p := range s.jobPlan(st.NextSeq, st.Total) {
 		workers, release, err := s.acquireWorkers(ctx, s.cfg.Workers)
 		if err != nil {
@@ -521,14 +520,14 @@ func (s *Server) sweepExploreJob(ctx context.Context, h *jobs.Handle, req core.R
 		if err != nil {
 			return nil, err
 		}
-		acc = shard.Merge(acc, part)
+		acc = acc.Merge(part)
 		st = exploreJobState{
 			NextSeq:    p.To,
 			Total:      st.Total,
 			Enumerated: acc.Enumerated,
 			Built:      acc.Built,
 			Infeasible: acc.Infeasible,
-			Pruned:     acc.Built - acc.Infeasible - int64(len(acc.Frontier)),
+			Pruned:     acc.Pruned(),
 			Frontier:   make([]CandidateJSON, len(acc.Frontier)),
 		}
 		for i, c := range acc.Frontier {
@@ -605,11 +604,18 @@ func (st *exploreJobState) check(total int) error {
 	return nil
 }
 
-// jobPlan partitions an explore job's remaining Seq range [from, to)
-// so no partition exceeds JobCheckpointEvery points.
-func (s *Server) jobPlan(from, to int) []shard.Partition {
-	every := s.cfg.JobCheckpointEvery
-	return shard.Plan(from, to, (to-from+every-1)/every)
+// jobPart is one contiguous absolute-Seq slice [From, To) of an
+// explore job's sweep; the job checkpoints after sweeping each.
+type jobPart struct{ From, To int }
+
+// jobPlan cuts an explore job's remaining Seq range [from, to) into
+// consecutive parts of at most JobCheckpointEvery points.
+func (s *Server) jobPlan(from, to int) []jobPart {
+	var parts []jobPart
+	for every := s.cfg.JobCheckpointEvery; from < to; from += every {
+		parts = append(parts, jobPart{From: from, To: min(from+every, to)})
+	}
+	return parts
 }
 
 // trialsJobState is the campaign runner's checkpoint: the absolute
@@ -619,6 +625,30 @@ func (s *Server) jobPlan(from, to int) []shard.Partition {
 type trialsJobState struct {
 	NextTrial int         `json:"next_trial"`
 	Results   []TrialJSON `json:"results"`
+}
+
+// resumeTrialsState decodes a campaign's checkpoint, or starts from
+// trial 0 when there is none. A checkpoint that cannot be the first
+// NextTrial outcomes of a trials-long campaign is refused: resuming it
+// would finish with bytes no uninterrupted campaign produces.
+func resumeTrialsState(trials int, raw []byte) (trialsJobState, error) {
+	var st trialsJobState
+	if len(raw) == 0 {
+		return st, nil
+	}
+	if err := json.Unmarshal(raw, &st); err != nil {
+		return st, fmt.Errorf("trials checkpoint state: %w", err)
+	}
+	if len(st.Results) != st.NextTrial || st.NextTrial > trials {
+		return st, fmt.Errorf("trials checkpoint state rejected: next_trial %d with %d results, want equal and <= %d trials",
+			st.NextTrial, len(st.Results), trials)
+	}
+	for i, r := range st.Results {
+		if r.Trial != i {
+			return st, fmt.Errorf("trials checkpoint state rejected: result %d is trial %d", i, r.Trial)
+		}
+	}
+	return st, nil
 }
 
 // jobTrialsChunk is the campaign checkpoint cadence: small enough that
@@ -648,11 +678,9 @@ func (s *Server) runTrialsJob(req TrialsJobRequest) jobs.RunFunc {
 			return *res.Reliability, nil, nil
 		}
 
-		var st trialsJobState
-		if raw := h.Resumed(); len(raw) > 0 {
-			if err := json.Unmarshal(raw, &st); err != nil {
-				return nil, fmt.Errorf("trials checkpoint state: %w", err)
-			}
+		st, err := resumeTrialsState(req.Trials, h.Resumed())
+		if err != nil {
+			return nil, err
 		}
 		for st.NextTrial < req.Trials {
 			to := st.NextTrial + jobTrialsChunk
@@ -736,6 +764,25 @@ type scenarioJobState struct {
 	Levels    []ScenarioLevelJSON `json:"levels"`
 }
 
+// resumeScenarioState decodes a scenario job's checkpoint, or starts
+// from level 0 when there is none. A checkpoint that cannot be the
+// first NextLevel levels of a levels-long scenario is refused: the
+// job's result fills the scenario cache.
+func resumeScenarioState(levels int, raw []byte) (scenarioJobState, error) {
+	var st scenarioJobState
+	if len(raw) == 0 {
+		return st, nil
+	}
+	if err := json.Unmarshal(raw, &st); err != nil {
+		return st, fmt.Errorf("scenario checkpoint state: %w", err)
+	}
+	if len(st.Levels) != st.NextLevel || st.NextLevel > levels {
+		return st, fmt.Errorf("scenario checkpoint state rejected: next_level %d with %d levels, want equal and <= %d levels",
+			st.NextLevel, len(st.Levels), levels)
+	}
+	return st, nil
+}
+
 // runScenarioJob returns the checkpointed scenario runner.
 func (s *Server) runScenarioJob(scn *scenario.Scenario) jobs.RunFunc {
 	return func(ctx context.Context, h *jobs.Handle) ([]byte, error) {
@@ -743,11 +790,9 @@ func (s *Server) runScenarioJob(scn *scenario.Scenario) jobs.RunFunc {
 		if err != nil {
 			return nil, err
 		}
-		var st scenarioJobState
-		if raw := h.Resumed(); len(raw) > 0 {
-			if err := json.Unmarshal(raw, &st); err != nil {
-				return nil, fmt.Errorf("scenario checkpoint state: %w", err)
-			}
+		st, err := resumeScenarioState(len(compiled.Levels), h.Resumed())
+		if err != nil {
+			return nil, err
 		}
 		for st.NextLevel < len(compiled.Levels) {
 			workers, release, err := s.acquireWorkers(ctx, s.cfg.Workers)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"edram/internal/core"
-	"edram/internal/shard"
 )
 
 // exploreReference computes the single-process explore bytes every
@@ -105,7 +104,7 @@ func TestShardMergeAssociativity(t *testing.T) {
 		bounds = append(bounds, total)
 		sort.Ints(bounds)
 
-		var parts []shard.Result
+		var parts []core.SweepResult
 		for i := 0; i+1 < len(bounds); i++ {
 			part, err := sweepPartition(ctx, req.Requirements, bounds[i], bounds[i+1], 2)
 			if err != nil {
@@ -117,7 +116,7 @@ func TestShardMergeAssociativity(t *testing.T) {
 			parts = append(parts, part)
 		}
 		rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
-		resp, err := exploreResponseFromMerged(req.Requirements, shard.Merge(parts...))
+		resp, err := exploreResponseFromMerged(req.Requirements, parts[0].Merge(parts[1:]...))
 		if err != nil {
 			t.Fatalf("trial %d merge: %v", trial, err)
 		}
@@ -128,5 +127,38 @@ func TestShardMergeAssociativity(t *testing.T) {
 		if string(b) != want {
 			t.Fatalf("trial %d (bounds %v): merged bytes differ from canonical response", trial, bounds)
 		}
+	}
+}
+
+// TestJobPlanCoversRangeExactly: an explore job's plan covers its
+// remaining range contiguously, in as few parts as the checkpoint
+// cadence allows, none longer than the cadence.
+func TestJobPlanCoversRangeExactly(t *testing.T) {
+	cases := []struct{ from, to, every int }{
+		{0, 2304, 2304}, {0, 2304, 768}, {0, 2304, 330}, {5, 17, 3},
+		{0, 3, 8}, // one part shorter than the cadence
+		{100, 101, 1},
+	}
+	for _, tc := range cases {
+		s := &Server{cfg: Config{JobCheckpointEvery: tc.every}}
+		parts := s.jobPlan(tc.from, tc.to)
+		if want := (tc.to - tc.from + tc.every - 1) / tc.every; len(parts) != want {
+			t.Fatalf("jobPlan(%d,%d) every %d: %d parts, want %d", tc.from, tc.to, tc.every, len(parts), want)
+		}
+		next := tc.from
+		for i, p := range parts {
+			if p.From != next || p.To <= p.From || p.To-p.From > tc.every {
+				t.Fatalf("jobPlan(%d,%d) every %d: part %d = %+v, want contiguous from %d and at most %d long",
+					tc.from, tc.to, tc.every, i, p, next, tc.every)
+			}
+			next = p.To
+		}
+		if next != tc.to {
+			t.Fatalf("jobPlan(%d,%d) every %d ends at %d", tc.from, tc.to, tc.every, next)
+		}
+	}
+	s := &Server{cfg: Config{JobCheckpointEvery: 4}}
+	if p := s.jobPlan(10, 10); p != nil {
+		t.Fatalf("jobPlan over an empty span = %v, want nil", p)
 	}
 }

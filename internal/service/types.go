@@ -25,7 +25,6 @@ import (
 	"edram/internal/reliab"
 	"edram/internal/scenario"
 	"edram/internal/sched"
-	"edram/internal/shard"
 )
 
 // SchemaVersion is the wire-schema version every response carries in
@@ -261,14 +260,12 @@ func candidateJSON(c core.Candidate) CandidateJSON {
 // (the delta recorder passes its observer through here).
 //
 // The sweep runs constraint-pruned: subspaces the engine can prove
-// infeasible are skipped analytically and folded back through the
-// ExploreStats Total* accessors, so the response stays byte-identical
-// to an unpruned run (the parity tests pin this).
+// infeasible are skipped analytically and folded back into the
+// SweepResult's counters, so the response stays byte-identical to an
+// unpruned run (the parity tests pin this).
 func BuildExplore(ctx context.Context, req core.Requirements, workers int, progress func(core.ExploreStats), extra ...core.ExploreOption) (*ExploreResponse, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	res, err := sweep(ctx, req, workers, progress, extra...)
+	opts := append([]core.ExploreOption{core.WithWorkers(workers), core.WithPruning(), core.WithProgress(progress)}, extra...)
+	res, err := core.SweepContext(ctx, req, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -276,41 +273,11 @@ func BuildExplore(ctx context.Context, req core.Requirements, workers int, progr
 }
 
 // sweepPartition sweeps the absolute-Seq slice [from, to) of req's
-// design space: the partition's folded counters and its local Pareto
-// front, ready to Merge. An explore job folds one per checkpoint.
-func sweepPartition(ctx context.Context, req core.Requirements, from, to, workers int) (shard.Result, error) {
-	return sweep(ctx, req, workers, nil, core.WithSeqRange(from, to))
-}
-
-// sweep runs the constraint-pruned engine over req with the extra
-// options and folds its output into merge form.
-func sweep(ctx context.Context, req core.Requirements, workers int, progress func(core.ExploreStats), extra ...core.ExploreOption) (shard.Result, error) {
-	var final core.ExploreStats
-	opts := []core.ExploreOption{
-		core.WithWorkers(workers),
-		core.WithPruning(),
-		core.WithProgress(func(s core.ExploreStats) {
-			if s.Done {
-				final = s
-			}
-			if progress != nil {
-				progress(s)
-			}
-		}),
-	}
-	opts = append(opts, extra...)
-	ch, err := core.ExploreContext(ctx, req, opts...)
-	if err != nil {
-		return shard.Result{}, err
-	}
-	front := core.NewFrontier()
-	for c := range ch {
-		front.Add(c)
-	}
-	if err := ctx.Err(); err != nil {
-		return shard.Result{}, err
-	}
-	return foldedResult(final, front.Candidates()), nil
+// design space, constraint-pruned: the partition's folded counters and
+// its local Pareto front, ready to Merge. An explore job folds one per
+// checkpoint.
+func sweepPartition(ctx context.Context, req core.Requirements, from, to, workers int) (core.SweepResult, error) {
+	return core.SweepContext(ctx, req, core.WithWorkers(workers), core.WithPruning(), core.WithSeqRange(from, to))
 }
 
 // BuildExploreDelta assembles the /v1/explore response for req from a
@@ -324,23 +291,11 @@ func BuildExploreDelta(ctx context.Context, st *core.DeltaState, req core.Requir
 	if err != nil {
 		return nil, nil, err
 	}
-	resp, err := exploreResponseFromMerged(req, foldedResult(res.Stats, res.Frontier))
+	resp, err := exploreResponseFromMerged(req, res.SweepResult)
 	if err != nil {
 		return nil, nil, err
 	}
 	return resp, res, nil
-}
-
-// foldedResult is a whole sweep in merge form: its folded Total*
-// counters (analytic skips count as built and infeasible) plus its
-// frontier.
-func foldedResult(st core.ExploreStats, frontier []core.Candidate) shard.Result {
-	return shard.Result{
-		Enumerated: st.TotalPoints(),
-		Built:      st.TotalBuilt(),
-		Infeasible: st.TotalInfeasible(),
-		Frontier:   frontier,
-	}
 }
 
 // errNoBuildable marks an explore in which no design point could be
@@ -349,12 +304,9 @@ var errNoBuildable = errors.New("no buildable configuration")
 
 // exploreResponseFromMerged is the one builder of explore responses:
 // every path — the undivided sweep, the delta tier and the
-// checkpointed job — folds its work into a merged
-// result and assembles the wire form here. Pruned is recovered from
-// the exact identity Pruned = Built − Infeasible − len(Frontier):
-// every built candidate is infeasible, on the final front, or was
-// discarded exactly once, whatever the arrival order or partitioning.
-func exploreResponseFromMerged(req core.Requirements, merged shard.Result) (*ExploreResponse, error) {
+// checkpointed job — folds its work into a core.SweepResult and
+// assembles the wire form here.
+func exploreResponseFromMerged(req core.Requirements, merged core.SweepResult) (*ExploreResponse, error) {
 	if merged.Built == 0 {
 		return nil, fmt.Errorf("%w for %+v", errNoBuildable, req)
 	}
@@ -365,7 +317,7 @@ func exploreResponseFromMerged(req core.Requirements, merged shard.Result) (*Exp
 		Points:        merged.Enumerated,
 		Built:         merged.Built,
 		Infeasible:    merged.Infeasible,
-		Pruned:        merged.Built - merged.Infeasible - int64(len(merged.Frontier)),
+		Pruned:        merged.Pruned(),
 		Frontier:      make([]CandidateJSON, 0, len(merged.Frontier)),
 		Picks:         []RecommendationJSON{},
 	}

@@ -28,6 +28,17 @@ func TestCLIServiceParity(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building edramx: %v\n%s", err, out)
 	}
+	// An infeasible request fails the table path with the nearest miss
+	// of the full, unpruned stream.
+	miss := exec.Command(bin, "-capacity", "16", "-bandwidth", "500", "-quiet")
+	var stderr strings.Builder
+	miss.Stderr = &stderr
+	err := miss.Run()
+	if exitErr, ok := err.(*exec.ExitError); !ok || exitErr.ExitCode() != 1 ||
+		!strings.Contains(stderr.String(), "sustained 0.21 GB/s < required 500.00") {
+		t.Errorf("edramx -bandwidth 500: %v, stderr %q; want exit 1 naming the closest miss", err, stderr.String())
+	}
+
 	cli := exec.Command(bin, "-capacity", "16", "-bandwidth", "1", "-hitrate", "0.5", "-quiet", "-json")
 	cliOut, err := cli.Output()
 	if err != nil {
