@@ -40,11 +40,15 @@ lint-baseline:
 race:
 	$(GO) test -race ./...
 
-# jobs-stress repeats the job store's checkpoint-ordering tests under
-# the race detector: a torn or out-of-order checkpoint write shows up
-# as a flake one run in a few, so one pass of `race` is not enough.
+# jobs-stress repeats the job store's checkpoint-ordering tests, and
+# the daemon's kill-and-resume and cancel-after-last-step tests (which
+# stop a runner inside its OnCheckpoint hook), under the race detector:
+# a torn or out-of-order checkpoint write or a cancel that slips past
+# the last step shows up as a flake one run in a few, so one pass of
+# `race` is not enough.
 jobs-stress:
 	$(GO) test -race -count=20 -run '^(TestCheckpointResume|TestCloseCancelsRunning|TestCheckpointedJobsLeaveTerminalRecords)$$' ./internal/jobs/
+	$(GO) test -race -count=20 -run '^(TestJobCheckpointResumeByteParity|TestJobCancelAfterLastStep)$$' ./internal/service/
 
 # bench runs every benchmark in the repo with allocation accounting and
 # snapshots the results as JSON through cmd/benchdiff — the trajectory
@@ -79,10 +83,11 @@ bench-compare: bench
 
 # fuzz runs the cell-array fuzzer with a real time budget; fuzz-smoke
 # only replays the seed corpora (no -fuzz) of the cell-array fuzzer, of
-# the explore-job checkpoint decoder and of the requirements request
-# decoder and canonical key (internal/service/testdata/fuzz), and of
-# the ckpt/v1 record loader (internal/jobs/testdata/fuzz), which is
-# cheap enough to sit on the tier-1 path.
+# the job checkpoint-state decoder (FuzzExploreJobState: the explore,
+# trials and scenario states) and of the requirements request decoder
+# and canonical key (internal/service/testdata/fuzz), and of the
+# ckpt/v1 record loader (internal/jobs/testdata/fuzz), which is cheap
+# enough to sit on the tier-1 path.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzArrayReadWrite -fuzztime $(FUZZTIME) ./internal/dram/

@@ -347,15 +347,22 @@ func (s *Store) Get(id string) (Snapshot, bool) {
 	return j.snapshotLocked(), true
 }
 
-// Result returns a succeeded job's exact result bytes.
-func (s *Store) Result(id string) ([]byte, bool) {
+// Result returns a snapshot of the job together with its exact result
+// bytes (nil unless the job succeeded), both read under one lock: a
+// job deleted or evicted in between cannot pair a succeeded snapshot
+// with missing bytes.
+func (s *Store) Result(id string) (Snapshot, []byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	if !ok || j.state != StateSucceeded {
-		return nil, false
+	if !ok {
+		return Snapshot{}, nil, false
 	}
-	return j.result, true
+	snap := j.snapshotLocked()
+	if snap.State != StateSucceeded {
+		return snap, nil, true
+	}
+	return snap, j.result, true
 }
 
 // Request returns the raw request a job was submitted with.

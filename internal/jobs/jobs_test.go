@@ -61,8 +61,7 @@ func TestSubmitRunResult(t *testing.T) {
 	if snap.Progress.Done != 1 || snap.Progress.Total != 1 {
 		t.Errorf("progress not published: %+v", snap.Progress)
 	}
-	res, ok := s.Result("job1")
-	if !ok || string(res) != "payload\n" {
+	if _, res, ok := s.Result("job1"); !ok || string(res) != "payload\n" {
 		t.Errorf("result = %q ok=%v", res, ok)
 	}
 	req, ok := s.Request("job1")
@@ -192,8 +191,31 @@ func TestFailedJobRecordsError(t *testing.T) {
 	if snap.State != StateFailed || snap.Error != "melted" {
 		t.Errorf("failed snapshot: %+v", snap)
 	}
-	if _, ok := s.Result("boom"); ok {
+	if snap, res, ok := s.Result("boom"); !ok || snap.State != StateFailed || res != nil {
 		t.Error("failed job served a result")
+	}
+}
+
+// TestDeletedJobHasNoResult: once a succeeded job is deleted, Result
+// reports it missing — no snapshot, no bytes — so the result endpoint
+// answers 404 instead of a 200 with an empty body.
+func TestDeletedJobHasNoResult(t *testing.T) {
+	s := newTestStore(t, Config{})
+	if _, _, err := s.Submit("done", "test", "k", nil,
+		func(ctx context.Context, h *Handle) ([]byte, error) {
+			return []byte("payload\n"), nil
+		}); err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s, "done")
+	if snap, res, ok := s.Result("done"); !ok || snap.State != StateSucceeded || string(res) != "payload\n" {
+		t.Fatalf("before delete: state %s, result %q, ok=%v", snap.State, res, ok)
+	}
+	if err := s.Delete("done"); err != nil {
+		t.Fatal(err)
+	}
+	if snap, res, ok := s.Result("done"); ok || snap.State != "" || res != nil {
+		t.Errorf("deleted job: state %q, result %q, ok=%v; want no job", snap.State, res, ok)
 	}
 }
 
@@ -261,7 +283,7 @@ func TestCheckpointResume(t *testing.T) {
 	if snap.State != StateSucceeded || snap.Key != "key9" {
 		t.Fatalf("resumed terminal snapshot: %+v", snap)
 	}
-	res, _ := s2.Result("resume-me")
+	_, res, _ := s2.Result("resume-me")
 	if string(res) != "finished-from-7\n" {
 		t.Errorf("resumed result = %q", res)
 	}
@@ -279,7 +301,7 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil || restarted != 0 {
 		t.Fatalf("terminal resume: restarted=%d err=%v", restarted, err)
 	}
-	res, ok := s3.Result("resume-me")
+	_, res, ok := s3.Result("resume-me")
 	if !ok || string(res) != "finished-from-7\n" {
 		t.Errorf("terminal record result = %q ok=%v", res, ok)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"edram/internal/core"
+	"edram/internal/scenario"
 )
 
 // writeJobRecord persists a running job of the POST /v1/jobs body
@@ -124,7 +125,7 @@ func TestJobStateChecks(t *testing.T) {
 		{`{"next_trial":13,"results":` + trial(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12) + `}`, false},
 		{`{"next_trial":-1,"results":[]}`, false},
 	} {
-		if _, err := resumeTrialsState(12, []byte(tc.state)); (err == nil) != tc.ok {
+		if err := resumeState(&trialsJobState{req: TrialsJobRequest{Trials: 12}}, []byte(tc.state)); (err == nil) != tc.ok {
 			t.Errorf("trials state %s: err %v, want ok=%t", tc.state, err, tc.ok)
 		}
 	}
@@ -138,7 +139,7 @@ func TestJobStateChecks(t *testing.T) {
 		{`{"next_level":0,"levels":[{"name":"store"}]}`, false},
 		{`{"next_level":2,"levels":[{"name":"a"},{"name":"b"}]}`, false},
 	} {
-		if _, err := resumeScenarioState(1, []byte(tc.state)); (err == nil) != tc.ok {
+		if err := resumeState(scenarioState(1), []byte(tc.state)); (err == nil) != tc.ok {
 			t.Errorf("scenario state %s: err %v, want ok=%t", tc.state, err, tc.ok)
 		}
 	}
@@ -177,11 +178,11 @@ func TestExploreJobStateCheck(t *testing.T) {
 		}
 		return raw
 	}
-	if _, err := resumeExploreState(req, encode(valid)); err != nil {
+	if err := resumeState(newExploreState(req), encode(valid)); err != nil {
 		t.Fatalf("intact checkpoint refused: %v", err)
 	}
-	if st, err := resumeExploreState(req, nil); err != nil || st.Total != valid.Total || st.NextSeq != 0 {
-		t.Fatalf("no checkpoint: state %+v, err %v; want a fresh state", st, err)
+	if st := newExploreState(req); resumeState(st, nil) != nil || st.Total != valid.Total || st.NextSeq != 0 {
+		t.Fatalf("no checkpoint: state %+v; want a fresh state", st)
 	}
 	for name, damage := range map[string]func(*exploreJobState){
 		"total":             func(st *exploreJobState) { st.Total = 50 },
@@ -198,18 +199,26 @@ func TestExploreJobStateCheck(t *testing.T) {
 		st := valid
 		st.Frontier = append([]CandidateJSON(nil), valid.Frontier...)
 		damage(&st)
-		if _, err := resumeExploreState(req, encode(st)); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		if err := resumeState(newExploreState(req), encode(st)); err == nil || !strings.Contains(err.Error(), "checkpoint") {
 			t.Errorf("%s: damaged checkpoint accepted (err %v)", name, err)
 		}
 	}
-	if _, err := resumeExploreState(req, []byte(`{"next_seq":`)); err == nil {
+	if err := resumeState(newExploreState(req), []byte(`{"next_seq":`)); err == nil {
 		t.Error("truncated checkpoint JSON accepted")
 	}
 }
 
-// FuzzExploreJobState feeds arbitrary bytes to the explore job's
-// resume path: decoding and checking never panic, any accepted state
-// meets the checkpoint invariants, and its front folds.
+// scenarioState is the state of a scenario job of the given number of
+// levels before its first step.
+func scenarioState(levels int) *scenarioJobState {
+	return &scenarioJobState{compiled: &scenario.Compiled{Levels: make([]scenario.CompiledLevel, levels)}}
+}
+
+// FuzzExploreJobState feeds arbitrary bytes to the resume path of
+// every job kind's checkpoint state: decoding and checking never
+// panic, and any accepted state meets its kind's invariants. An
+// accepted explore state's front also folds; the trials and scenario
+// states decode over a 12-trial campaign and a two-level scenario.
 func FuzzExploreJobState(f *testing.F) {
 	var body RequirementsRequest
 	if err := strictUnmarshal([]byte(testReq), &body); err != nil {
@@ -218,8 +227,21 @@ func FuzzExploreJobState(f *testing.F) {
 	req := body.Requirements
 	total := core.SweepCount(req)
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		st, err := resumeExploreState(req, raw)
-		if err != nil {
+		if tr := (&trialsJobState{req: TrialsJobRequest{Trials: 12}}); resumeState(tr, raw) == nil {
+			if len(tr.Results) != tr.NextTrial || tr.NextTrial > 12 {
+				t.Fatalf("accepted trials state with next_trial %d and %d results", tr.NextTrial, len(tr.Results))
+			}
+			for i, r := range tr.Results {
+				if r.Trial != i {
+					t.Fatalf("accepted trials state whose result %d is trial %d", i, r.Trial)
+				}
+			}
+		}
+		if sc := scenarioState(2); resumeState(sc, raw) == nil && (len(sc.Levels) != sc.NextLevel || sc.NextLevel > 2) {
+			t.Fatalf("accepted scenario state with next_level %d and %d levels", sc.NextLevel, len(sc.Levels))
+		}
+		st := newExploreState(req)
+		if err := resumeState(st, raw); err != nil {
 			return
 		}
 		if st.Total != total || st.NextSeq < 0 || st.NextSeq > st.Total || st.Enumerated != int64(st.NextSeq) {

@@ -362,7 +362,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	snap, ok := s.jobsStore.Get(id)
+	snap, b, ok := s.jobsStore.Result(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, jobs.ErrNotFound)
 		return
@@ -371,7 +371,6 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	case jobs.StateSucceeded:
 		// Serve the stored bytes verbatim: they are exactly what the
 		// synchronous endpoint would have written, byte for byte.
-		b, _ := s.jobsStore.Result(id)
 		writeBytes(w, b)
 	case jobs.StateFailed:
 		writeError(w, http.StatusUnprocessableEntity, errors.New(snap.Error))
@@ -394,6 +393,92 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 
 // ---- runners ----------------------------------------------------------
 
+// jobState is a checkpointed job's resumable state: a watermark into
+// the job's steps plus what the steps below it folded in. Its JSON
+// form is the ckpt/v1 record's state blob; the request it runs (not
+// persisted) is bound when the job starts.
+type jobState interface {
+	// check reports the first invariant a decoded state breaks as the
+	// state the runner writes after its first next steps.
+	check() error
+	// span returns the watermark and the job's step count.
+	span() (next, total int)
+	// step runs steps [from, to) on workers and folds them in.
+	step(ctx context.Context, from, to, workers int) error
+	// progress is the wire progress at the watermark.
+	progress() jobs.Progress
+}
+
+// resumeState decodes a job's checkpoint over st, the state of its
+// request before any step, and leaves st fresh when there is none (a
+// field the checkpoint omits keeps its fresh value). A checkpoint that
+// cannot be what the runner wrote is refused: resuming
+// it would finish with bytes no uninterrupted run produces, and
+// explore and scenario results fill the synchronous endpoints' cache.
+func resumeState(st jobState, raw []byte) error {
+	if len(raw) == 0 {
+		return nil
+	}
+	if err := json.Unmarshal(raw, st); err != nil {
+		return fmt.Errorf("checkpoint state: %w", err)
+	}
+	if err := st.check(); err != nil {
+		return fmt.Errorf("checkpoint state rejected: %w", err)
+	}
+	return nil
+}
+
+// runSteps is the one checkpointed step loop of every job kind. It
+// resumes st from the job's checkpoint and runs the remaining steps in
+// windows of at most every. Each window draws its workers from the
+// pool (so a long job holds none between checkpoints), then publishes
+// progress and writes the checkpoint before the next one starts.
+func (s *Server) runSteps(ctx context.Context, h *jobs.Handle, st jobState, every int) error {
+	if err := resumeState(st, h.Resumed()); err != nil {
+		return err
+	}
+	for from, total := st.span(); from < total; from, total = st.span() {
+		workers, release, err := s.acquireWorkers(ctx, s.cfg.Workers)
+		if err != nil {
+			return err
+		}
+		err = st.step(ctx, from, min(from+every, total), workers)
+		release()
+		if err != nil {
+			return err
+		}
+		h.SetProgress(st.progress())
+		raw, err := json.Marshal(st)
+		if err == nil {
+			err = h.Checkpoint(raw)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// finishJob is every runner's exit. A cancellation that lands after
+// the last step still stops the job: its checkpoint stays on disk for
+// the next life and nothing is cached. Otherwise resp is encoded as the
+// result and, under a non-empty fillKey, cross-fills the synchronous
+// endpoint's cache, so a later request of the same work is a hit on
+// the job's bytes.
+func (s *Server) finishJob(ctx context.Context, resp any, fillKey string) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	b, err := Encode(resp)
+	if err != nil {
+		return nil, err
+	}
+	if fillKey != "" {
+		s.fill(fillKey, b)
+	}
+	return b, nil
+}
+
 // exploreJobState is the explore runner's checkpoint: the Seq
 // watermark, the accumulated sweep counters, and the partial frontier.
 // Everything downstream (frontier membership, pruned count, canonical
@@ -407,6 +492,80 @@ type exploreJobState struct {
 	Infeasible int64           `json:"infeasible"`
 	Pruned     int64           `json:"pruned"`
 	Frontier   []CandidateJSON `json:"frontier"`
+
+	req core.Requirements
+}
+
+// newExploreState is the state of a sweep of req before its first
+// partition.
+func newExploreState(req core.Requirements) *exploreJobState {
+	return &exploreJobState{Total: core.SweepCount(req), req: req}
+}
+
+// check reports the first invariant st breaks as the state after
+// sweeping [0, NextSeq) of the request: every point in the prefix is
+// enumerated once, and every built point is infeasible, on the front,
+// or pruned.
+func (st *exploreJobState) check() error {
+	switch total := core.SweepCount(st.req); {
+	case st.Total != total:
+		return fmt.Errorf("total %d, want the request's %d points", st.Total, total)
+	case st.NextSeq < 0 || st.NextSeq > st.Total:
+		return fmt.Errorf("next_seq %d outside [0, %d]", st.NextSeq, st.Total)
+	case st.Enumerated != int64(st.NextSeq):
+		return fmt.Errorf("enumerated %d, want next_seq %d", st.Enumerated, st.NextSeq)
+	case st.Infeasible < 0 || st.Infeasible > st.Built || st.Built > st.Enumerated:
+		return fmt.Errorf("counters built %d, infeasible %d: want 0 <= infeasible <= built <= enumerated %d",
+			st.Built, st.Infeasible, st.Enumerated)
+	case st.Pruned < 0 || st.Pruned != st.Built-st.Infeasible-int64(len(st.Frontier)):
+		return fmt.Errorf("pruned %d, want built - infeasible - frontier = %d",
+			st.Pruned, st.Built-st.Infeasible-int64(len(st.Frontier)))
+	}
+	for _, c := range st.Frontier {
+		if c.Seq < 0 || c.Seq >= st.NextSeq {
+			return fmt.Errorf("frontier seq %d outside the swept prefix [0, %d)", c.Seq, st.NextSeq)
+		}
+	}
+	return nil
+}
+
+func (st *exploreJobState) span() (int, int) { return st.NextSeq, st.Total }
+
+// step sweeps the Seq partition [from, to) and folds it in.
+func (st *exploreJobState) step(ctx context.Context, from, to, workers int) error {
+	part, err := sweepPartition(ctx, st.req, from, to, workers)
+	if err != nil {
+		return err
+	}
+	acc := st.sweep().Merge(part)
+	st.NextSeq = to
+	st.Enumerated, st.Built, st.Infeasible, st.Pruned = acc.Enumerated, acc.Built, acc.Infeasible, acc.Pruned()
+	st.Frontier = make([]CandidateJSON, len(acc.Frontier))
+	for i, c := range acc.Frontier {
+		st.Frontier[i] = candidateJSON(c)
+	}
+	return nil
+}
+
+func (st *exploreJobState) progress() jobs.Progress {
+	return jobs.Progress{
+		Done:       int64(st.NextSeq),
+		Total:      int64(st.Total),
+		Built:      st.Built,
+		Infeasible: st.Infeasible,
+		Pruned:     st.Pruned,
+		FrontSize:  len(st.Frontier),
+	}
+}
+
+// sweep is the swept prefix as a core.SweepResult; its Merge() puts
+// the front in the canonical order the response needs.
+func (st *exploreJobState) sweep() core.SweepResult {
+	acc := core.SweepResult{Enumerated: st.Enumerated, Built: st.Built, Infeasible: st.Infeasible}
+	for _, cj := range st.Frontier {
+		acc.Frontier = append(acc.Frontier, candidateFromJSON(cj))
+	}
+	return acc
 }
 
 // candidateFromJSON rebuilds a core.Candidate from its wire form. The
@@ -432,13 +591,11 @@ func candidateFromJSON(cj CandidateJSON) core.Candidate {
 	}
 }
 
-// runExploreJob returns the explore job runner. A fresh job is
-// served by the delta tier in one step when the daemon retains an
-// eligible state, as handleExplore does. Otherwise it sweeps: the Seq
-// range is planned into partitions of at most JobCheckpointEvery
-// points, swept in order, and each partition's result is folded into
-// the checkpoint before the next one starts. A daemon killed mid-run
-// resumes from NextSeq.
+// runExploreJob returns the explore job runner. A fresh job is served
+// by the delta tier in one step when the daemon retains an eligible
+// state, as handleExplore does. Otherwise it runs the checkpointed
+// sweep in partitions of at most JobCheckpointEvery points; a daemon
+// killed mid-run resumes from NextSeq.
 func (s *Server) runExploreJob(req core.Requirements) jobs.RunFunc {
 	return func(ctx context.Context, h *jobs.Handle) ([]byte, error) {
 		if err := req.Validate(); err != nil {
@@ -453,19 +610,15 @@ func (s *Server) runExploreJob(req core.Requirements) jobs.RunFunc {
 		if e != nil {
 			resp, err = s.deltaExploreJob(ctx, h, e, req)
 		} else {
-			resp, err = s.sweepExploreJob(ctx, h, req)
+			st := newExploreState(req)
+			if err = s.runSteps(ctx, h, st, s.cfg.JobCheckpointEvery); err == nil {
+				resp, err = exploreResponseFromMerged(req, st.sweep().Merge())
+			}
 		}
 		if err != nil {
 			return nil, err
 		}
-		b, err := Encode(resp)
-		if err != nil {
-			return nil, err
-		}
-		// Cross-fill the result cache: a later POST /v1/explore of the
-		// same requirements is a hit on the job's bytes.
-		s.fill(resp.Key, b)
-		return b, nil
+		return s.finishJob(ctx, resp, resp.Key)
 	}
 }
 
@@ -494,130 +647,6 @@ func (s *Server) deltaExploreJob(ctx context.Context, h *jobs.Handle, e *deltaEn
 	return resp, nil
 }
 
-// sweepExploreJob is the checkpointed sweep of an explore job, resumed
-// from the job's last checkpoint when it has one. Workers are drawn
-// from the pool per partition, so a long job holds none between
-// checkpoints.
-func (s *Server) sweepExploreJob(ctx context.Context, h *jobs.Handle, req core.Requirements) (*ExploreResponse, error) {
-	st, err := resumeExploreState(req, h.Resumed())
-	if err != nil {
-		return nil, err
-	}
-	acc := core.SweepResult{Enumerated: st.Enumerated, Built: st.Built, Infeasible: st.Infeasible}
-	for _, cj := range st.Frontier {
-		acc.Frontier = append(acc.Frontier, candidateFromJSON(cj))
-	}
-	// Folding the checkpointed front alone puts it in canonical order,
-	// which the response needs when no partition is left to sweep.
-	acc = acc.Merge()
-	for _, p := range s.jobPlan(st.NextSeq, st.Total) {
-		workers, release, err := s.acquireWorkers(ctx, s.cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		part, err := sweepPartition(ctx, req, p.From, p.To, workers)
-		release()
-		if err != nil {
-			return nil, err
-		}
-		acc = acc.Merge(part)
-		st = exploreJobState{
-			NextSeq:    p.To,
-			Total:      st.Total,
-			Enumerated: acc.Enumerated,
-			Built:      acc.Built,
-			Infeasible: acc.Infeasible,
-			Pruned:     acc.Pruned(),
-			Frontier:   make([]CandidateJSON, len(acc.Frontier)),
-		}
-		for i, c := range acc.Frontier {
-			st.Frontier[i] = candidateJSON(c)
-		}
-		h.SetProgress(jobs.Progress{
-			Done:       int64(st.NextSeq),
-			Total:      int64(st.Total),
-			Built:      st.Built,
-			Infeasible: st.Infeasible,
-			Pruned:     st.Pruned,
-			FrontSize:  len(st.Frontier),
-		})
-		raw, err := json.Marshal(st)
-		if err == nil {
-			err = h.Checkpoint(raw)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	// A cancellation that lands after the last partition still stops
-	// the job: its checkpoint is on disk for the next life.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return exploreResponseFromMerged(req, acc)
-}
-
-// resumeExploreState decodes an explore job's checkpoint, or starts
-// from Seq 0 when there is none. A checkpoint that cannot be the
-// swept prefix of req is refused: resuming it would finish with bytes
-// no cold sweep produces, and the job's result fills the explore
-// cache.
-func resumeExploreState(req core.Requirements, raw []byte) (exploreJobState, error) {
-	total := core.SweepCount(req)
-	if len(raw) == 0 {
-		return exploreJobState{Total: total}, nil
-	}
-	var st exploreJobState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return st, fmt.Errorf("explore checkpoint state: %w", err)
-	}
-	if err := st.check(total); err != nil {
-		return st, fmt.Errorf("explore checkpoint state rejected: %w", err)
-	}
-	return st, nil
-}
-
-// check reports the first invariant st breaks as the state after
-// sweeping [0, NextSeq) of a total-point sweep: every point in the
-// prefix is enumerated once, and every built point is infeasible, on
-// the front, or pruned.
-func (st *exploreJobState) check(total int) error {
-	switch {
-	case st.Total != total:
-		return fmt.Errorf("total %d, want the request's %d points", st.Total, total)
-	case st.NextSeq < 0 || st.NextSeq > st.Total:
-		return fmt.Errorf("next_seq %d outside [0, %d]", st.NextSeq, st.Total)
-	case st.Enumerated != int64(st.NextSeq):
-		return fmt.Errorf("enumerated %d, want next_seq %d", st.Enumerated, st.NextSeq)
-	case st.Infeasible < 0 || st.Infeasible > st.Built || st.Built > st.Enumerated:
-		return fmt.Errorf("counters built %d, infeasible %d: want 0 <= infeasible <= built <= enumerated %d",
-			st.Built, st.Infeasible, st.Enumerated)
-	case st.Pruned < 0 || st.Pruned != st.Built-st.Infeasible-int64(len(st.Frontier)):
-		return fmt.Errorf("pruned %d, want built - infeasible - frontier = %d",
-			st.Pruned, st.Built-st.Infeasible-int64(len(st.Frontier)))
-	}
-	for _, c := range st.Frontier {
-		if c.Seq < 0 || c.Seq >= st.NextSeq {
-			return fmt.Errorf("frontier seq %d outside the swept prefix [0, %d)", c.Seq, st.NextSeq)
-		}
-	}
-	return nil
-}
-
-// jobPart is one contiguous absolute-Seq slice [From, To) of an
-// explore job's sweep; the job checkpoints after sweeping each.
-type jobPart struct{ From, To int }
-
-// jobPlan cuts an explore job's remaining Seq range [from, to) into
-// consecutive parts of at most JobCheckpointEvery points.
-func (s *Server) jobPlan(from, to int) []jobPart {
-	var parts []jobPart
-	for every := s.cfg.JobCheckpointEvery; from < to; from += every {
-		parts = append(parts, jobPart{From: from, To: min(from+every, to)})
-	}
-	return parts
-}
-
 // trialsJobState is the campaign runner's checkpoint: the absolute
 // trial watermark and the per-trial outcomes so far. Seeds derive from
 // the absolute index (reliab.TrialSeed), so disjoint trial ranges
@@ -625,36 +654,63 @@ func (s *Server) jobPlan(from, to int) []jobPart {
 type trialsJobState struct {
 	NextTrial int         `json:"next_trial"`
 	Results   []TrialJSON `json:"results"`
-}
 
-// resumeTrialsState decodes a campaign's checkpoint, or starts from
-// trial 0 when there is none. A checkpoint that cannot be the first
-// NextTrial outcomes of a trials-long campaign is refused: resuming it
-// would finish with bytes no uninterrupted campaign produces.
-func resumeTrialsState(trials int, raw []byte) (trialsJobState, error) {
-	var st trialsJobState
-	if len(raw) == 0 {
-		return st, nil
-	}
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return st, fmt.Errorf("trials checkpoint state: %w", err)
-	}
-	if len(st.Results) != st.NextTrial || st.NextTrial > trials {
-		return st, fmt.Errorf("trials checkpoint state rejected: next_trial %d with %d results, want equal and <= %d trials",
-			st.NextTrial, len(st.Results), trials)
-	}
-	for i, r := range st.Results {
-		if r.Trial != i {
-			return st, fmt.Errorf("trials checkpoint state rejected: result %d is trial %d", i, r.Trial)
-		}
-	}
-	return st, nil
+	req TrialsJobRequest
+	m   *edram.Macro // built from req.Spec
 }
 
 // jobTrialsChunk is the campaign checkpoint cadence: small enough that
 // a restart rarely repeats more than a few simulations, large enough
 // that checkpoint I/O stays negligible next to a trial's compute.
 const jobTrialsChunk = 8
+
+// check requires st to be the first NextTrial outcomes of the
+// campaign, in trial order.
+func (st *trialsJobState) check() error {
+	if len(st.Results) != st.NextTrial || st.NextTrial > st.req.Trials {
+		return fmt.Errorf("next_trial %d with %d results, want equal and <= %d trials",
+			st.NextTrial, len(st.Results), st.req.Trials)
+	}
+	for i, r := range st.Results {
+		if r.Trial != i {
+			return fmt.Errorf("result %d is trial %d", i, r.Trial)
+		}
+	}
+	return nil
+}
+
+func (st *trialsJobState) span() (int, int) { return st.NextTrial, st.req.Trials }
+
+// step runs campaign members [from, to), each a controller simulation
+// with the fault process armed under its derived seed.
+func (st *trialsJobState) step(ctx context.Context, from, to, workers int) error {
+	part, err := reliab.RunTrialsRange(from, to, workers, st.req.Seed, func(trial int, seed int64) (reliab.Stats, []reliab.FaultEvent, error) {
+		if err := ctx.Err(); err != nil {
+			return reliab.Stats{}, nil, err
+		}
+		rel, err := st.req.Reliability.config(seed)
+		if err != nil {
+			return reliab.Stats{}, nil, err
+		}
+		res, err := simulate(st.m, st.req.Options, st.req.Clients, &rel)
+		if err != nil {
+			return reliab.Stats{}, nil, err
+		}
+		return *res.Reliability, nil, nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, tr := range part {
+		st.Results = append(st.Results, trialJSON(tr))
+	}
+	st.NextTrial = to
+	return nil
+}
+
+func (st *trialsJobState) progress() jobs.Progress {
+	return jobs.Progress{Done: int64(st.NextTrial), Total: int64(st.req.Trials)}
+}
 
 // runTrialsJob returns the checkpointed campaign runner.
 func (s *Server) runTrialsJob(req TrialsJobRequest) jobs.RunFunc {
@@ -663,53 +719,10 @@ func (s *Server) runTrialsJob(req TrialsJobRequest) jobs.RunFunc {
 		if err != nil {
 			return nil, err
 		}
-		runTrial := func(trial int, seed int64) (reliab.Stats, []reliab.FaultEvent, error) {
-			if err := ctx.Err(); err != nil {
-				return reliab.Stats{}, nil, err
-			}
-			rel, err := req.Reliability.config(seed)
-			if err != nil {
-				return reliab.Stats{}, nil, err
-			}
-			res, err := simulate(m, req.Options, req.Clients, &rel)
-			if err != nil {
-				return reliab.Stats{}, nil, err
-			}
-			return *res.Reliability, nil, nil
-		}
-
-		st, err := resumeTrialsState(req.Trials, h.Resumed())
-		if err != nil {
+		st := &trialsJobState{req: req, m: m}
+		if err := s.runSteps(ctx, h, st, jobTrialsChunk); err != nil {
 			return nil, err
 		}
-		for st.NextTrial < req.Trials {
-			to := st.NextTrial + jobTrialsChunk
-			if to > req.Trials {
-				to = req.Trials
-			}
-			workers, release, err := s.acquireWorkers(ctx, s.cfg.Workers)
-			if err != nil {
-				return nil, err
-			}
-			part, err := reliab.RunTrialsRange(st.NextTrial, to, workers, req.Seed, runTrial)
-			release()
-			if err != nil {
-				return nil, err
-			}
-			for _, tr := range part {
-				st.Results = append(st.Results, trialJSON(tr))
-			}
-			st.NextTrial = to
-			h.SetProgress(jobs.Progress{Done: int64(st.NextTrial), Total: int64(req.Trials)})
-			raw, err := json.Marshal(st)
-			if err != nil {
-				return nil, err
-			}
-			if err := h.Checkpoint(raw); err != nil {
-				return nil, err
-			}
-		}
-
 		resp := &TrialsResponse{
 			SchemaVersion: SchemaVersion,
 			Key:           HashKey("trials", req.canonicalKey()),
@@ -732,7 +745,7 @@ func (s *Server) runTrialsJob(req TrialsJobRequest) jobs.RunFunc {
 		if n := len(resp.Results); n > 0 {
 			resp.Aggregate.MeanCapacityLossFrac /= float64(n)
 		}
-		return Encode(resp)
+		return s.finishJob(ctx, resp, "")
 	}
 }
 
@@ -762,58 +775,49 @@ func trialJSON(tr reliab.TrialResult) TrialJSON {
 type scenarioJobState struct {
 	NextLevel int                 `json:"next_level"`
 	Levels    []ScenarioLevelJSON `json:"levels"`
+
+	compiled *scenario.Compiled
 }
 
-// resumeScenarioState decodes a scenario job's checkpoint, or starts
-// from level 0 when there is none. A checkpoint that cannot be the
-// first NextLevel levels of a levels-long scenario is refused: the
-// job's result fills the scenario cache.
-func resumeScenarioState(levels int, raw []byte) (scenarioJobState, error) {
-	var st scenarioJobState
-	if len(raw) == 0 {
-		return st, nil
+// check requires st to be the first NextLevel levels of the scenario.
+func (st *scenarioJobState) check() error {
+	if len(st.Levels) != st.NextLevel || st.NextLevel > len(st.compiled.Levels) {
+		return fmt.Errorf("next_level %d with %d levels, want equal and <= %d levels",
+			st.NextLevel, len(st.Levels), len(st.compiled.Levels))
 	}
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return st, fmt.Errorf("scenario checkpoint state: %w", err)
-	}
-	if len(st.Levels) != st.NextLevel || st.NextLevel > levels {
-		return st, fmt.Errorf("scenario checkpoint state rejected: next_level %d with %d levels, want equal and <= %d levels",
-			st.NextLevel, len(st.Levels), levels)
-	}
-	return st, nil
+	return nil
 }
 
-// runScenarioJob returns the checkpointed scenario runner.
+func (st *scenarioJobState) span() (int, int) { return st.NextLevel, len(st.compiled.Levels) }
+
+// step evaluates hierarchy levels [from, to).
+func (st *scenarioJobState) step(ctx context.Context, from, to, workers int) error {
+	for i := from; i < to; i++ {
+		lj, err := buildScenarioLevel(ctx, st.compiled, i, workers)
+		if err != nil {
+			return err
+		}
+		st.Levels = append(st.Levels, lj)
+	}
+	st.NextLevel = to
+	return nil
+}
+
+func (st *scenarioJobState) progress() jobs.Progress {
+	return jobs.Progress{Done: int64(st.NextLevel), Total: int64(len(st.compiled.Levels))}
+}
+
+// runScenarioJob returns the checkpointed scenario runner: one step
+// per hierarchy level.
 func (s *Server) runScenarioJob(scn *scenario.Scenario) jobs.RunFunc {
 	return func(ctx context.Context, h *jobs.Handle) ([]byte, error) {
 		compiled, err := scn.Compile()
 		if err != nil {
 			return nil, err
 		}
-		st, err := resumeScenarioState(len(compiled.Levels), h.Resumed())
-		if err != nil {
+		st := &scenarioJobState{compiled: compiled}
+		if err := s.runSteps(ctx, h, st, 1); err != nil {
 			return nil, err
-		}
-		for st.NextLevel < len(compiled.Levels) {
-			workers, release, err := s.acquireWorkers(ctx, s.cfg.Workers)
-			if err != nil {
-				return nil, err
-			}
-			lj, err := buildScenarioLevel(ctx, compiled, st.NextLevel, workers)
-			release()
-			if err != nil {
-				return nil, err
-			}
-			st.Levels = append(st.Levels, lj)
-			st.NextLevel++
-			h.SetProgress(jobs.Progress{Done: int64(st.NextLevel), Total: int64(len(compiled.Levels))})
-			raw, err := json.Marshal(st)
-			if err != nil {
-				return nil, err
-			}
-			if err := h.Checkpoint(raw); err != nil {
-				return nil, err
-			}
 		}
 		resp := &ScenarioResponse{
 			SchemaVersion: SchemaVersion,
@@ -824,12 +828,6 @@ func (s *Server) runScenarioJob(scn *scenario.Scenario) jobs.RunFunc {
 		if resp.Levels == nil {
 			resp.Levels = []ScenarioLevelJSON{}
 		}
-		b, err := Encode(resp)
-		if err != nil {
-			return nil, err
-		}
-		// Cross-fill the result cache for the synchronous scenario path.
-		s.fill(HashKey("scenario", scn.CanonicalKey()), b)
-		return b, nil
+		return s.finishJob(ctx, resp, resp.Key)
 	}
 }

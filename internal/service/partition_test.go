@@ -129,36 +129,3 @@ func TestShardMergeAssociativity(t *testing.T) {
 		}
 	}
 }
-
-// TestJobPlanCoversRangeExactly: an explore job's plan covers its
-// remaining range contiguously, in as few parts as the checkpoint
-// cadence allows, none longer than the cadence.
-func TestJobPlanCoversRangeExactly(t *testing.T) {
-	cases := []struct{ from, to, every int }{
-		{0, 2304, 2304}, {0, 2304, 768}, {0, 2304, 330}, {5, 17, 3},
-		{0, 3, 8}, // one part shorter than the cadence
-		{100, 101, 1},
-	}
-	for _, tc := range cases {
-		s := &Server{cfg: Config{JobCheckpointEvery: tc.every}}
-		parts := s.jobPlan(tc.from, tc.to)
-		if want := (tc.to - tc.from + tc.every - 1) / tc.every; len(parts) != want {
-			t.Fatalf("jobPlan(%d,%d) every %d: %d parts, want %d", tc.from, tc.to, tc.every, len(parts), want)
-		}
-		next := tc.from
-		for i, p := range parts {
-			if p.From != next || p.To <= p.From || p.To-p.From > tc.every {
-				t.Fatalf("jobPlan(%d,%d) every %d: part %d = %+v, want contiguous from %d and at most %d long",
-					tc.from, tc.to, tc.every, i, p, next, tc.every)
-			}
-			next = p.To
-		}
-		if next != tc.to {
-			t.Fatalf("jobPlan(%d,%d) every %d ends at %d", tc.from, tc.to, tc.every, next)
-		}
-	}
-	s := &Server{cfg: Config{JobCheckpointEvery: 4}}
-	if p := s.jobPlan(10, 10); p != nil {
-		t.Fatalf("jobPlan over an empty span = %v, want nil", p)
-	}
-}
