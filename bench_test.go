@@ -153,8 +153,8 @@ func BenchmarkDesignSpaceExplore(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreParallel measures the streaming engine's evaluation
-// throughput (points/sec) at 1, 4 and GOMAXPROCS workers.
+// BenchmarkExploreParallel measures the sweep's evaluation throughput
+// (built points/sec) at 1, 4 and GOMAXPROCS workers.
 func BenchmarkExploreParallel(b *testing.B) {
 	req := core.Requirements{CapacityMbit: 16, BandwidthGBps: 2, HitRate: 0.8, DefectsPerCm2: 0.8}
 	counts := []int{1, 4}
@@ -165,25 +165,21 @@ func BenchmarkExploreParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var points int64
 			for i := 0; i < b.N; i++ {
-				ch, err := core.ExploreContext(context.Background(), req, core.WithWorkers(w))
+				res, err := core.SweepContext(context.Background(), req, core.WithWorkers(w))
 				if err != nil {
 					b.Fatal(err)
 				}
-				n := int64(0)
-				for range ch {
-					n++
-				}
-				points += n
+				points += res.Built
 			}
 			b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/sec")
 		})
 	}
 }
 
-// BenchmarkExplorePruned measures the constraint-pruned streaming
-// engine: "open" has no prunable constraint (the pruning planner's
-// overhead must be invisible), "constrained" lets the planner skip
-// whole Seq subspaces analytically.
+// BenchmarkExplorePruned measures the constraint-pruned sweep: "open"
+// has no prunable constraint (the pruning planner's overhead must be
+// invisible), "constrained" lets the planner skip whole Seq subspaces
+// analytically.
 func BenchmarkExplorePruned(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -194,15 +190,11 @@ func BenchmarkExplorePruned(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ch, err := core.ExploreContext(context.Background(), tc.req, core.WithPruning())
+				res, err := core.SweepContext(context.Background(), tc.req, core.WithPruning())
 				if err != nil {
 					b.Fatal(err)
 				}
-				front := core.NewFrontier()
-				for c := range ch {
-					front.Add(c)
-				}
-				if front.Size() == 0 {
+				if len(res.Frontier) == 0 {
 					b.Fatal("empty frontier")
 				}
 			}
@@ -237,11 +229,9 @@ func BenchmarkDeltaExplore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.SweepContext(context.Background(), base,
-			core.WithPruning(), core.WithObserver(st.Observe)); err != nil {
+		if _, err := st.Record(context.Background()); err != nil {
 			b.Fatal(err)
 		}
-		st.Seal()
 		b.ResetTimer()
 		var reused int64
 		for i := 0; i < b.N; i++ {

@@ -113,17 +113,11 @@ func main() {
 		return
 	}
 
-	// One unpruned sweep feeds the Pareto front, the nearest-miss
-	// diagnostics and the progress line at once, so the closest miss
-	// is the full stream's; the recommendations and both error texts
-	// come from the fold, as in core.RecommendContext.
-	var nearest core.Candidate
-	opts := []core.ExploreOption{core.WithWorkers(*workers), core.WithProgressEvery(128),
-		core.WithObserver(func(c core.Candidate) {
-			if !c.Feasible && core.CloserMiss(&c, &nearest) {
-				nearest = c
-			}
-		})}
+	// One unpruned sweep feeds the Pareto front, the closest miss and
+	// the progress line at once, so the closest miss is the full
+	// stream's; the recommendations and both error texts come from the
+	// fold, as in core.RecommendContext.
+	opts := []core.ExploreOption{core.WithWorkers(*workers), core.WithProgressEvery(128)}
 	if !*quiet {
 		opts = append(opts, core.WithProgress(progressLine))
 	}
@@ -131,7 +125,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	recs, err := res.Recommendations(req, nearest)
+	recs, err := res.Recommendations(req)
 	if err != nil {
 		fail(err)
 	}
@@ -191,14 +185,13 @@ func runDelta(base core.Requirements, spec string, workers int, quiet bool) {
 	if err != nil {
 		fail(err)
 	}
-	var progress func(core.ExploreStats)
+	opts := []core.ExploreOption{core.WithWorkers(workers)}
 	if !quiet {
-		progress = progressLine
+		opts = append(opts, core.WithProgress(progressLine))
 	}
-	if _, err := service.BuildExplore(context.Background(), base, workers, progress, core.WithObserver(st.Observe)); err != nil {
+	if _, err := st.Record(context.Background(), opts...); err != nil {
 		fail(err)
 	}
-	st.Seal()
 	resp, res, err := service.BuildExploreDelta(context.Background(), st, newReq, workers)
 	if err != nil {
 		fail(err)

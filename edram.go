@@ -98,7 +98,9 @@ func WithProgress(fn func(ExploreStats)) ExploreOption { return core.WithProgres
 func WithProgressEvery(n int) ExploreOption { return core.WithProgressEvery(n) }
 
 // WithObserver registers a per-candidate tap, invoked serially for
-// every built candidate before it is streamed to the caller.
+// every built candidate before it is streamed to the caller; a sweep
+// with a tap builds every candidate in full, Macro and reasons
+// included.
 func WithObserver(fn func(Candidate)) ExploreOption { return core.WithObserver(fn) }
 
 // ExploreContext enumerates and evaluates the full design space on a

@@ -223,7 +223,7 @@ func repairFractionFor(level edram.RedundancyLevel) float64 {
 // evaluate builds and scores one spec, replicated over `macros`
 // identical instances that share the load. It is the unmemoized
 // reference path; the explore engine runs the byte-identical
-// evalMemo.evaluate (see memo.go).
+// evalMemo.evaluate and evalMemo.candidate (see memo.go).
 func evaluate(spec edram.Spec, macros int, req Requirements, e tech.Electrical, ce power.CoreEnergy) (Candidate, error) {
 	if macros < 1 {
 		macros = 1
@@ -240,41 +240,96 @@ func evaluate(spec edram.Spec, macros int, req Requirements, e tech.Electrical, 
 	return scoreCandidate(spec, macros, m, req, e, ce, dieCost, yieldEff), nil
 }
 
-// scoreCandidate assembles the per-point metrics and feasibility checks
-// from a built macro and its die-cost results — the shared tail of the
-// unmemoized evaluate and the memoized evalMemo.evaluate, so the two
-// paths cannot drift apart.
-func scoreCandidate(spec edram.Spec, macros int, m *edram.Macro, req Requirements, e tech.Electrical, ce power.CoreEnergy, dieCostUSD, dieYield float64) Candidate {
+// pointEval is the evaluation record of one built sweep point: the
+// exact metric floats every feasibility comparison and dominance test
+// reads. It is all a sweep's workers emit and all a DeltaState
+// retains; everything else about the candidate is rebuilt on demand
+// from its Seq (evalMemo.candidate, byte-identical).
+type pointEval struct {
+	seq                                 int
+	area, power, cost, sustained, clock float64
+}
+
+// measure is the record of a macro built for one point: the metrics of
+// `macros` identical instances sharing the load.
+func measure(seq int, m *edram.Macro, macros int, req *Requirements, e tech.Electrical, ce power.CoreEnergy, dieCostUSD float64) pointEval {
 	n := float64(macros)
-	c := Candidate{Spec: spec, Macro: m, Macros: macros}
-	c.AreaMm2 = n * m.Area.TotalMm2
-	c.PeakGBps = n * m.PeakBandwidthGBps()
-	c.SustainedGBps = n * SustainedEstimate(m, req.HitRate)
-	pr := m.Power(e, ce, 1.0, req.HitRate)
-	c.PowerMW = n * pr.TotalMW
+	return pointEval{
+		seq:       seq,
+		area:      n * m.Area.TotalMm2,
+		power:     n * m.Power(e, ce, 1.0, req.HitRate).TotalMW,
+		cost:      dieCostUSD,
+		sustained: n * SustainedEstimate(m, req.HitRate),
+		clock:     m.ClockMHz,
+	}
+}
 
-	c.CostUSD = dieCostUSD
-	c.DieYield = dieYield
-	c.CostPerMbitUSD = cost.CostPerMbitUSD(dieCostUSD, float64(req.CapacityMbit))
+// The feasibility constraints, one bit each of a violation mask.
+const (
+	violBandwidth uint8 = 1 << iota
+	violArea
+	violPower
+	violClock
+)
 
-	c.Feasible = true
-	fail := func(pre string, have float64, mid string, want float64, prec int) {
-		c.Feasible = false
-		c.Reasons = append(c.Reasons, failReason(pre, have, mid, want, prec))
+// violations is the one feasibility test: the mask of the constraints
+// the record misses (0 = feasible).
+func violations(ev *pointEval, req *Requirements) uint8 {
+	var v uint8
+	if ev.sustained < req.BandwidthGBps {
+		v |= violBandwidth
 	}
-	if c.SustainedGBps < req.BandwidthGBps {
-		fail("sustained ", c.SustainedGBps, " GB/s < required ", req.BandwidthGBps, 2)
+	if req.MaxAreaMm2 > 0 && ev.area > req.MaxAreaMm2 {
+		v |= violArea
 	}
-	if req.MaxAreaMm2 > 0 && c.AreaMm2 > req.MaxAreaMm2 {
-		fail("area ", c.AreaMm2, " mm² > cap ", req.MaxAreaMm2, 1)
+	if req.MaxPowerMW > 0 && ev.power > req.MaxPowerMW {
+		v |= violPower
 	}
-	if req.MaxPowerMW > 0 && c.PowerMW > req.MaxPowerMW {
-		fail("power ", c.PowerMW, " mW > cap ", req.MaxPowerMW, 0)
+	if req.MinClockMHz > 0 && ev.clock < req.MinClockMHz {
+		v |= violClock
 	}
-	if req.MinClockMHz > 0 && m.ClockMHz < req.MinClockMHz {
-		fail("clock ", m.ClockMHz, " MHz < required ", req.MinClockMHz, 0)
+	return v
+}
+
+// reasons words a violation mask, one message per violated constraint
+// in mask order (nil for a feasible record).
+func reasons(ev *pointEval, req *Requirements, v uint8) []string {
+	var out []string
+	if v&violBandwidth != 0 {
+		out = append(out, failReason("sustained ", ev.sustained, " GB/s < required ", req.BandwidthGBps, 2))
 	}
-	return c
+	if v&violArea != 0 {
+		out = append(out, failReason("area ", ev.area, " mm² > cap ", req.MaxAreaMm2, 1))
+	}
+	if v&violPower != 0 {
+		out = append(out, failReason("power ", ev.power, " mW > cap ", req.MaxPowerMW, 0))
+	}
+	if v&violClock != 0 {
+		out = append(out, failReason("clock ", ev.clock, " MHz < required ", req.MinClockMHz, 0))
+	}
+	return out
+}
+
+// scoreCandidate assembles the full candidate from a built macro and
+// its die-cost results — the shared tail of the unmemoized evaluate and
+// the sweep's evalMemo.candidate, so the two paths cannot drift apart.
+func scoreCandidate(spec edram.Spec, macros int, m *edram.Macro, req Requirements, e tech.Electrical, ce power.CoreEnergy, dieCostUSD, dieYield float64) Candidate {
+	ev := measure(0, m, macros, &req, e, ce, dieCostUSD)
+	v := violations(&ev, &req)
+	return Candidate{
+		Spec:           spec,
+		Macro:          m,
+		Macros:         macros,
+		AreaMm2:        ev.area,
+		PowerMW:        ev.power,
+		PeakGBps:       float64(macros) * m.PeakBandwidthGBps(),
+		SustainedGBps:  ev.sustained,
+		DieYield:       dieYield,
+		CostUSD:        dieCostUSD,
+		CostPerMbitUSD: cost.CostPerMbitUSD(dieCostUSD, float64(req.CapacityMbit)),
+		Feasible:       v == 0,
+		Reasons:        reasons(&ev, &req, v),
+	}
 }
 
 // failReason renders one "<pre><have><mid><want>" infeasibility message
@@ -419,14 +474,14 @@ func ValidateBySimulation(c Candidate, req Requirements, sim SimulateFunc) (Vali
 	if err := req.Validate(); err != nil {
 		return Validation{}, err
 	}
-	perMacroDemand := req.BandwidthGBps / float64(maxInt(1, c.Macros))
+	perMacroDemand := req.BandwidthGBps / float64(max(1, c.Macros))
 	simGB, hit, err := sim(perMacroDemand, c)
 	if err != nil {
 		return Validation{}, err
 	}
 	v := Validation{
-		ModelGBps:     SustainedEstimate(c.Macro, hit) * float64(maxInt(1, c.Macros)),
-		SimulatedGBps: simGB * float64(maxInt(1, c.Macros)),
+		ModelGBps:     SustainedEstimate(c.Macro, hit) * float64(max(1, c.Macros)),
+		SimulatedGBps: simGB * float64(max(1, c.Macros)),
 		SimHitRate:    hit,
 	}
 	lo, hi := v.ModelGBps, v.SimulatedGBps
@@ -438,11 +493,4 @@ func ValidateBySimulation(c Candidate, req Requirements, sim SimulateFunc) (Vali
 	}
 	v.MeetsRequirement = v.SimulatedGBps >= req.BandwidthGBps
 	return v, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -18,20 +18,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-
-	"edram/internal/power"
-	"edram/internal/tech"
 )
-
-// pointEval is the retained evaluation of one built sweep point: the
-// exact metric floats every feasibility comparison and dominance test
-// reads. Everything else about the candidate is reconstructed on demand
-// from its Seq (space.point + the unmemoized evaluate, byte-identical
-// to the sweep's memoized path).
-type pointEval struct {
-	seq                                 int
-	area, power, cost, sustained, clock float64
-}
 
 // deltaGapTolerance bounds missing-interval fragmentation: gaps of
 // already-covered points up to this long are re-swept rather than
@@ -56,9 +43,10 @@ type DeltaState struct {
 	sealed   bool
 }
 
-// NewDeltaState prepares recording for one full pruned explore of req.
-// Feed every built candidate to Observe (WithObserver, or the result
-// stream) and call Seal once the run completed; the state then covers
+// NewDeltaState prepares recording for one full pruned explore of req:
+// Record runs it and seals the state. A caller that runs the sweep
+// itself feeds every built candidate to Observe (WithObserver) and
+// calls Seal once the run completed; either way the state then covers
 // exactly the intervals a pruned full sweep enumerates.
 func NewDeltaState(req Requirements) (*DeltaState, error) {
 	if err := req.Validate(); err != nil {
@@ -84,21 +72,26 @@ func (s *DeltaState) Eligible(newReq Requirements) bool {
 	return s.sealed && newReq.StructuralKey() == s.key
 }
 
+// Record is the whole recording of a fresh state: it runs the pruned
+// full sweep of the state's requirements under opts, keeps every built
+// evaluation record straight from the fold, and seals the state once
+// the sweep completed. It returns the sweep's fold, as SweepContext
+// would with WithPruning.
+func (s *DeltaState) Record(ctx context.Context, opts ...ExploreOption) (SweepResult, error) {
+	res, evals, err := sweepRecorded(ctx, s.req, append(opts[:len(opts):len(opts)], WithPruning())...)
+	if err != nil {
+		return SweepResult{}, err
+	}
+	s.evals = evals
+	s.Seal()
+	return res, nil
+}
+
 // Observe records one built candidate of the state's own full explore.
 // It must see every built candidate of a pruned full sweep of the
 // state's requirements, in any order, before Seal.
-func (s *DeltaState) Observe(c Candidate) { s.evals = append(s.evals, evalOf(c)) }
-
-// evalOf is the retained evaluation of a built candidate.
-func evalOf(c Candidate) pointEval {
-	return pointEval{
-		seq:       c.Seq,
-		area:      c.AreaMm2,
-		power:     c.PowerMW,
-		cost:      c.CostUSD,
-		sustained: c.SustainedGBps,
-		clock:     c.Macro.ClockMHz,
-	}
+func (s *DeltaState) Observe(c Candidate) {
+	s.evals = append(s.evals, pointEval{c.Seq, c.AreaMm2, c.PowerMW, c.CostUSD, c.SustainedGBps, c.Macro.ClockMHz})
 }
 
 // Seal marks the recording complete: the state now covers the
@@ -141,8 +134,9 @@ type DeltaResult struct {
 // re-filtering; loosened ones expose intervals the prior runs never
 // evaluated, which are swept fresh and folded into the state), then
 // re-scores every retained evaluation under the new constraint values
-// and rebuilds the Pareto front from scratch. The frontier and counters
-// are byte-identical to a cold full pruned sweep of newReq.
+// and rebuilds the Pareto front from scratch. The frontier, counters
+// and closest miss are byte-identical to a cold full pruned sweep of
+// newReq.
 //
 // The state is mutated (coverage and evaluations grow monotonically);
 // callers serialize access per state.
@@ -165,23 +159,23 @@ func DeltaExplore(ctx context.Context, s *DeltaState, newReq Requirements, worke
 	// newReq, but the recorded metrics depend only on the (shared)
 	// structural fields, so the evaluations join the retained ones
 	// seamlessly. Already-covered points inside a coalesced gap are
-	// dropped on arrival.
+	// dropped.
 	var swept, freshBuilt int64
 	var fresh []pointEval
-	record := func(c Candidate) {
-		if rangesContain(s.coverage, c.Seq) {
-			return
-		}
-		if rangesContain(needed, c.Seq) {
-			freshBuilt++
-		}
-		fresh = append(fresh, evalOf(c))
-	}
 	for _, r := range missing {
 		swept += int64(r.To - r.From)
-		if _, err := SweepContext(ctx, newReq, WithWorkers(workers),
-			WithSeqRange(r.From, r.To), WithObserver(record)); err != nil {
+		_, evals, err := sweepRecorded(ctx, newReq, WithWorkers(workers), WithSeqRange(r.From, r.To))
+		if err != nil {
 			return nil, err // incomplete sweep: leave the state untouched
+		}
+		for _, ev := range evals {
+			if rangesContain(s.coverage, ev.seq) {
+				continue
+			}
+			if rangesContain(needed, ev.seq) {
+				freshBuilt++
+			}
+			fresh = append(fresh, ev)
 		}
 	}
 	if len(fresh) > 0 {
@@ -192,68 +186,28 @@ func DeltaExplore(ctx context.Context, s *DeltaState, newReq Requirements, worke
 		s.coverage = unionRanges(s.coverage, missing)
 	}
 
-	// Re-filter every retained evaluation inside the new enumerated
-	// region, replicating scoreCandidate's feasibility comparisons on
-	// the exact recorded floats, and rebuild the front. Infeasible
-	// points never enter a Frontier, so offering only the feasible ones
-	// reproduces the cold run's front and pruned counter exactly
-	// (the front is insertion-order independent).
-	front := NewFrontier()
-	var built, feasible int64
+	// Fold every retained evaluation inside the new enumerated region
+	// under the new constraint values, as the cold sweep's collector
+	// would: the front is insertion-order independent, so the fold's
+	// counters, front and closest miss are the cold run's.
+	skipped, skippedBuildable := newPlan.tally(0, s.space.total)
+	f := fold{enumerated: int64(s.space.total) - skipped}
 	ri := 0
-	for _, ev := range s.evals {
+	for i := range s.evals {
+		ev := &s.evals[i]
 		for ri < len(needed) && needed[ri].To <= ev.seq {
 			ri++
 		}
 		if ri >= len(needed) || ev.seq < needed[ri].From {
 			continue // outside the new plan's enumerated region
 		}
-		built++
-		if ev.sustained < newReq.BandwidthGBps ||
-			(newReq.MaxAreaMm2 > 0 && ev.area > newReq.MaxAreaMm2) ||
-			(newReq.MaxPowerMW > 0 && ev.power > newReq.MaxPowerMW) ||
-			(newReq.MinClockMHz > 0 && ev.clock < newReq.MinClockMHz) {
-			continue
-		}
-		feasible++
-		front.Add(Candidate{
-			Seq:           ev.seq,
-			AreaMm2:       ev.area,
-			PowerMW:       ev.power,
-			CostUSD:       ev.cost,
-			SustainedGBps: ev.sustained,
-			Feasible:      true,
-		})
+		f.add(ev, violations(ev, &newReq))
 	}
-
-	// Materialize the surviving members through the unmemoized
-	// reference evaluation — byte-identical to the sweep's memoized
-	// path (TestExploreMemoParity pins that equivalence).
-	e := tech.DefaultElectrical()
-	ce := power.DefaultCoreEnergy()
-	members := front.Candidates()
-	out := make([]Candidate, 0, len(members))
-	for _, m := range members {
-		pt := s.space.point(m.Seq)
-		c, err := evaluate(pt.Spec, pt.Macros, newReq, e, ce)
-		if err != nil {
-			return nil, fmt.Errorf("core: delta materialization of seq %d: %v", m.Seq, err)
-		}
-		c.Seq = m.Seq
-		out = append(out, c)
-	}
-
-	_, skippedBuildable := newPlan.tally(0, s.space.total)
-	return &DeltaResult{
-		SweepResult: SweepResult{
-			Enumerated: int64(s.space.total),
-			Built:      built + skippedBuildable,
-			Infeasible: built - feasible + skippedBuildable,
-			Frontier:   out,
-		},
-		Swept:  swept,
-		Reused: built - freshBuilt,
-	}, nil
+	// The result materializes a few dozen candidates, spread over the
+	// whole space: an empty memo window builds each one's template
+	// afresh instead of allocating a table for every point.
+	res := f.result(skipped, skippedBuildable, newEvalMemo(newReq, s.space, 0, 0))
+	return &DeltaResult{SweepResult: res, Swept: swept, Reused: f.built - freshBuilt}, nil
 }
 
 // rangesContain reports whether a sorted disjoint range list contains

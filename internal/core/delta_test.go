@@ -54,6 +54,10 @@ func assertDeltaParity(t *testing.T, s *DeltaState, newReq Requirements) {
 				i, newReq, got.Frontier[i], cold.Frontier[i])
 		}
 	}
+	if !reflect.DeepEqual(got.Nearest, cold.Nearest) {
+		t.Fatalf("closest miss differs (req %+v):\ndelta Seq %d %q\ncold  Seq %d %q",
+			newReq, got.Nearest.Seq, got.Nearest.Reasons, cold.Nearest.Seq, cold.Nearest.Reasons)
+	}
 	if res.Swept+res.Reused < final.Built {
 		t.Fatalf("swept %d + reused %d cannot cover the %d built points a cold sweep evaluates",
 			res.Swept, res.Reused, final.Built)

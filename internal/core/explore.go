@@ -2,17 +2,21 @@
 // interface width × banks × page length × block size × redundancy ×
 // process (§3); space lays that product out as Seq numbers, and
 // SweepContext evaluates its points on a worker pool and folds them in
-// the caller's goroutine: an incremental Pareto front prunes dominated
-// designs as results arrive, and the sweep returns one SweepResult.
-// Every other entry point reads that fold — ExploreContext streams
-// the built candidates through its observer, and Explore/Recommend in
-// core.go are thin compatibility wrappers.
+// the caller's goroutine. A worker emits one evaluation record per
+// built point (pointEval plus a violation mask); the fold keeps an
+// incremental Pareto front of bare candidates and the closest miss,
+// and builds full Candidates — Macro and reasons — only for what the
+// sweep returns, or for every built point when the sweep has an
+// observer. Every other entry point reads that fold — ExploreContext
+// streams the built candidates through its observer, and
+// Explore/Recommend in core.go are thin compatibility wrappers.
 
 package core
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -20,7 +24,6 @@ import (
 
 	"edram/internal/edram"
 	"edram/internal/geom"
-	"edram/internal/power"
 	"edram/internal/reliab"
 	"edram/internal/tech"
 )
@@ -179,11 +182,15 @@ const maxSeq = int(^uint(0) >> 1)
 // putPointBatch returns a consumed sweep batch to the pool.
 func putPointBatch(bp *[]Point) { pointBatchPool.Put(bp) }
 
-// outcome pairs one evaluated point with its buildability; workers
-// forward them to the collector at batch granularity.
+// outcome is a worker's verdict on one point: whether it is buildable
+// and, if so, its evaluation record and violation mask, plus the full
+// candidate when the sweep has an observer. Workers forward outcomes to
+// the collector at batch granularity.
 type outcome struct {
-	cand Candidate
+	ev   pointEval
+	viol uint8
 	ok   bool
+	cand Candidate
 }
 
 // outcomePool recycles the per-batch outcome slices the same way
@@ -335,7 +342,9 @@ func WithProgressEvery(n int) ExploreOption {
 // collector goroutine, serialized, in arrival order) for every built
 // candidate, feasible or not — before ExploreContext sends it on the
 // result channel. It is how a caller of SweepContext sees the
-// candidates the fold does not keep.
+// candidates the fold does not keep: with an observer set, the workers
+// also assemble every built candidate in full, Macro and reasons
+// included.
 func WithObserver(fn func(Candidate)) ExploreOption {
 	return func(c *exploreConfig) { c.observer = fn }
 }
@@ -376,13 +385,18 @@ func WithPruning() ExploreOption {
 // the counters of an unpruned sweep over the same range — points a
 // pruned sweep skipped analytically count as enumerated, and its
 // skipped buildable points as built and infeasible (that is what
-// justified skipping them) — and the feasible Pareto front in
-// canonical order.
+// justified skipping them) — the feasible Pareto front in canonical
+// order, and the closest miss.
 type SweepResult struct {
 	Enumerated int64
 	Built      int64
 	Infeasible int64
 	Frontier   []Candidate
+	// Nearest is the closest miss among the evaluated points (the
+	// CloserMiss pick: fewest violated constraints, ties to the lower
+	// Seq), or the zero Candidate when none was infeasible. A pruned
+	// sweep picks among the points it enumerated only.
+	Nearest Candidate
 }
 
 // Pruned is the number of feasible candidates the front discarded:
@@ -392,11 +406,12 @@ func (r SweepResult) Pruned() int64 {
 	return r.Built - r.Infeasible - int64(len(r.Frontier))
 }
 
-// Merge folds r and more into the union result: counters sum and the
-// fronts merge through a fresh Frontier. Dominance is a strict partial
-// order, so the merged front is exactly the front the undivided sweep
-// produces, independent of partition boundaries and merge order. With
-// no argument it puts r's own front in canonical order.
+// Merge folds r and more into the union result: counters sum, the
+// fronts merge through a fresh Frontier and the closest misses through
+// CloserMiss. Dominance is a strict partial order, so the merged front
+// is exactly the front the undivided sweep produces, independent of
+// partition boundaries and merge order. With no argument it puts r's
+// own front in canonical order.
 func (r SweepResult) Merge(more ...SweepResult) SweepResult {
 	front := NewFrontier()
 	out := SweepResult{}
@@ -407,6 +422,9 @@ func (r SweepResult) Merge(more ...SweepResult) SweepResult {
 		for _, c := range x.Frontier {
 			front.Add(c)
 		}
+		if len(x.Nearest.Reasons) > 0 && CloserMiss(&x.Nearest, &out.Nearest) {
+			out.Nearest = x.Nearest
+		}
 	}
 	out.Frontier = front.Candidates()
 	return out
@@ -414,27 +432,71 @@ func (r SweepResult) Merge(more ...SweepResult) SweepResult {
 
 // Recommendations quantizes the front into at most four named
 // configurations, or says why there is none: nothing buildable, or
-// nothing feasible, naming the violated constraints of nearest — the
-// closest miss the caller tracked with CloserMiss through WithObserver
-// (the zero Candidate when it tracked none).
-func (r SweepResult) Recommendations(req Requirements, nearest Candidate) ([]Recommendation, error) {
+// nothing feasible, naming the violated constraints of the closest
+// miss.
+func (r SweepResult) Recommendations(req Requirements) ([]Recommendation, error) {
 	if r.Built == 0 {
 		return nil, fmt.Errorf("core: no buildable configuration for %+v", req)
 	}
 	if len(r.Frontier) == 0 {
-		return nil, fmt.Errorf("core: no feasible configuration; closest misses: %v", nearest.Reasons)
+		return nil, fmt.Errorf("core: no feasible configuration; closest misses: %v", r.Nearest.Reasons)
 	}
 	return Quantize(r.Frontier), nil
 }
 
-// sweep is one validated explore: its options, its Seq layout and the
-// prune plan of the requested window [from, to).
+// fold accumulates a sweep's evaluation records into what it returns:
+// the counters, a Pareto front of bare candidates (the record's floats,
+// its Seq and Feasible — all dominance and canonical order read) and
+// the closest miss by (number of violations, Seq).
+type fold struct {
+	enumerated, built, infeasible int64
+	front                         Frontier
+	missViol, missSeq             int // missViol 0: no miss yet
+}
+
+// add folds one built point's record and violation mask.
+func (f *fold) add(ev *pointEval, viol uint8) {
+	f.built++
+	if viol == 0 {
+		f.front.Add(Candidate{Seq: ev.seq, AreaMm2: ev.area, PowerMW: ev.power, CostUSD: ev.cost,
+			SustainedGBps: ev.sustained, Feasible: true})
+		return
+	}
+	f.infeasible++
+	if n := bits.OnesCount8(viol); f.missViol == 0 || n < f.missViol || n == f.missViol && ev.seq < f.missSeq {
+		f.missViol, f.missSeq = n, ev.seq
+	}
+}
+
+// result is the fold as a SweepResult, with a pruned window's analytic
+// skips counted back in and only the front survivors and the closest
+// miss materialized, through mm.
+func (f *fold) result(skipped, skippedBuildable int64, mm *evalMemo) SweepResult {
+	res := SweepResult{
+		Enumerated: f.enumerated + skipped,
+		Built:      f.built + skippedBuildable,
+		Infeasible: f.infeasible + skippedBuildable,
+		Frontier:   f.front.Candidates(),
+	}
+	for i := range res.Frontier {
+		res.Frontier[i] = mm.candidate(res.Frontier[i].Seq)
+	}
+	if f.missViol > 0 {
+		res.Nearest = mm.candidate(f.missSeq)
+	}
+	return res
+}
+
+// sweep is one validated explore: its options, its Seq layout, the
+// prune plan of the requested window [from, to) and the window's memo.
+// With evals non-nil, the fold also keeps every built record there.
 type sweep struct {
 	cfg      exploreConfig
 	space    *space
 	plan     *prunePlan
 	memo     *evalMemo
 	from, to int
+	evals    []pointEval
 }
 
 // newSweep applies the options and validates them with the
@@ -461,18 +523,22 @@ func newSweep(req Requirements, opts []ExploreOption) (*sweep, error) {
 	if cfg.pruned {
 		plan = newPrunePlan(req, sp)
 	}
-	return &sweep{cfg: cfg, space: sp, plan: plan, memo: newEvalMemo(req),
-		from: cfg.seqFrom, to: min(cfg.seqTo, sp.total)}, nil
+	from, to := cfg.seqFrom, min(cfg.seqTo, sp.total)
+	return &sweep{cfg: cfg, space: sp, plan: plan, memo: newEvalMemo(req, sp, from, to),
+		from: from, to: to}, nil
 }
 
-// tap chains fn after the caller's observer.
-func (s *sweep) tap(fn func(Candidate)) {
-	user := s.cfg.observer
-	if user == nil {
-		s.cfg.observer = fn
-		return
+// sweepRecorded is SweepContext keeping every built evaluation record
+// too, in a buffer sized to the points the prune plan enumerates.
+func sweepRecorded(ctx context.Context, req Requirements, opts ...ExploreOption) (SweepResult, []pointEval, error) {
+	s, err := newSweep(req, opts)
+	if err != nil {
+		return SweepResult{}, nil, err
 	}
-	s.cfg.observer = func(c Candidate) { user(c); fn(c) }
+	skipped, _ := s.plan.tally(s.from, s.to)
+	s.evals = make([]pointEval, 0, max(0, s.to-s.from-int(skipped)))
+	res, err := s.run(ctx)
+	return res, s.evals, err
 }
 
 // SweepContext enumerates and evaluates the design space on a worker
@@ -493,35 +559,31 @@ func SweepContext(ctx context.Context, req Requirements, opts ...ExploreOption) 
 func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 	cfg := &s.cfg
 	batches := sweepRanges(ctx, s.space, s.plan.enumerated(s.from, s.to))
-	e := tech.DefaultElectrical()
-	ce := power.DefaultCoreEnergy()
 	start := time.Now() //nolint:edramvet/determinism // feeds ExploreStats.WallTime only, never results
 
-	// Workers: evaluate batches of points, forwarding outcomes
-	// (including unbuildable corners, so the collector can count
-	// enumeration) to the collector at batch granularity — per-point
-	// channel traffic would rival the evaluation cost itself. Both the
-	// point batches and the outcome slices are pooled: the collector
-	// returns each slice once it has read the contents.
+	// Workers: evaluate batches of points into one scratch macro each,
+	// forwarding outcomes (including unbuildable corners, so the
+	// collector can count enumeration) to the collector at batch
+	// granularity — per-point channel traffic would rival the evaluation
+	// cost itself. Both the point batches and the outcome slices are
+	// pooled: the collector returns each slice once it has read it.
 	results := make(chan *[]outcome, cfg.workers*2)
 	busy := make([]time.Duration, cfg.workers)
+	observed := cfg.observer != nil
 	var wg sync.WaitGroup
 	wg.Add(cfg.workers)
 	for w := 0; w < cfg.workers; w++ {
 		go func(w int) {
 			defer wg.Done()
 			var acc time.Duration
-			var arena macroArena
+			var scratch edram.Macro
 			defer func() { busy[w] = acc }()
 			for bp := range batches {
 				t0 := time.Now() //nolint:edramvet/determinism // feeds ExploreStats.WorkerBusy only, never results
 				op := outcomePool.Get().(*[]outcome)
 				outs := (*op)[:len(*bp)]
 				for i := range *bp {
-					pt := &(*bp)[i]
-					o := &outs[i]
-					o.ok = s.memo.evaluateInto(&o.cand, pt, e, ce, &arena)
-					o.cand.Seq = pt.Seq
+					s.memo.evaluate(&outs[i], &(*bp)[i], &scratch, observed)
 				}
 				putPointBatch(bp)
 				*op = outs
@@ -539,18 +601,18 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 		close(results)
 	}()
 
-	// Collector: the calling goroutine owns the stats and the front, so
-	// observer and progress callbacks need no locking. After a
-	// cancellation it only drains, until the workers have exited.
-	front := NewFrontier()
-	stats := ExploreStats{Workers: cfg.workers}
-	stats.Skipped, stats.SkippedBuildable = s.plan.tally(s.from, s.to)
+	// Collector: the calling goroutine owns the fold, so observer and
+	// progress callbacks need no locking. After a cancellation it only
+	// drains, until the workers have exited.
+	var f fold
+	skipped, skippedBuildable := s.plan.tally(s.from, s.to)
 	snapshot := func(done bool) ExploreStats {
-		st := stats
-		st.WallTime = time.Since(start)
-		st.FrontSize = front.Size()
-		st.Pruned = front.Pruned()
-		st.Done = done
+		st := ExploreStats{
+			Enumerated: f.enumerated, Built: f.built, Infeasible: f.infeasible,
+			Pruned: f.front.Pruned(), FrontSize: f.front.Size(),
+			Skipped: skipped, SkippedBuildable: skippedBuildable,
+			Workers: cfg.workers, WallTime: time.Since(start), Done: done,
+		}
 		if done {
 			st.WorkerBusy = append([]time.Duration(nil), busy...)
 		}
@@ -564,22 +626,21 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 		}
 		for i := range *op {
 			o := &(*op)[i]
-			stats.Enumerated++
+			f.enumerated++
 			if !o.ok { // unbuildable corner of the space
 				continue
 			}
-			stats.Built++
-			if !o.cand.Feasible {
-				stats.Infeasible++
+			f.add(&o.ev, o.viol)
+			if s.evals != nil {
+				s.evals = append(s.evals, o.ev)
 			}
-			front.Add(o.cand)
-			if cfg.observer != nil {
+			if observed {
 				cfg.observer(o.cand)
 			}
 		}
 		outcomePool.Put(op)
-		if cfg.progress != nil && stats.Enumerated-lastProgress >= int64(cfg.progressEvery) {
-			lastProgress = stats.Enumerated
+		if cfg.progress != nil && f.enumerated-lastProgress >= int64(cfg.progressEvery) {
+			lastProgress = f.enumerated
 			cfg.progress(snapshot(false))
 		}
 	}
@@ -590,12 +651,7 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 	if err != nil {
 		return SweepResult{}, err
 	}
-	return SweepResult{
-		Enumerated: stats.Enumerated + stats.Skipped,
-		Built:      stats.Built + stats.SkippedBuildable,
-		Infeasible: stats.Infeasible + stats.SkippedBuildable,
-		Frontier:   front.Candidates(),
-	}, nil
+	return f.result(skipped, skippedBuildable, s.memo), nil
 }
 
 // ExploreContext streams every buildable candidate (feasible or not)
@@ -612,12 +668,16 @@ func ExploreContext(ctx context.Context, req Requirements, opts ...ExploreOption
 		return nil, err
 	}
 	out := make(chan Candidate, 4*sweepBatch)
-	s.tap(func(c Candidate) {
+	user := s.cfg.observer
+	s.cfg.observer = func(c Candidate) {
+		if user != nil {
+			user(c)
+		}
 		select {
 		case out <- c:
 		case <-ctx.Done():
 		}
-	})
+	}
 	go func() {
 		defer close(out)
 		_, _ = s.run(ctx) // the consumer sees a cancellation through its own ctx
@@ -627,25 +687,15 @@ func ExploreContext(ctx context.Context, req Requirements, opts ...ExploreOption
 
 // RecommendContext sweeps the design space through the incremental
 // Pareto front and quantizes the feasible survivors into at most four
-// named configurations, tracking the closest miss for the error when
-// nothing is feasible. It is the context-aware, parallel form of
+// named configurations, naming the fold's closest miss in the error
+// when nothing is feasible. It is the context-aware, parallel form of
 // Recommend.
 func RecommendContext(ctx context.Context, req Requirements, opts ...ExploreOption) ([]Recommendation, error) {
-	s, err := newSweep(req, opts)
+	res, err := SweepContext(ctx, req, opts...)
 	if err != nil {
 		return nil, err
 	}
-	var nearest Candidate
-	s.tap(func(c Candidate) {
-		if !c.Feasible && CloserMiss(&c, &nearest) {
-			nearest = c
-		}
-	})
-	res, err := s.run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return res.Recommendations(req, nearest)
+	return res.Recommendations(req)
 }
 
 // CloserMiss reports whether the infeasible candidate c is a closer

@@ -14,167 +14,128 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"edram/internal/cost"
 	"edram/internal/edram"
 	"edram/internal/power"
-	"edram/internal/reliab"
 	"edram/internal/tech"
 )
 
-// skelKey identifies the page-length-independent projection of one sweep
-// point: every Spec field except PageBits. The process travels by
-// pointer identity: every point of one explore points into the
-// explore's resolved process slice, so equal pointers mean the same
-// process parameters. The name alone would alias same-named but
-// differently-parameterized custom processes, the aliasing class fixed
-// for the service cache keys (see DESIGN.md §6 canonical-key rules);
-// two slice positions with equal parameters merely compute the same
-// entry twice.
-type skelKey struct {
-	proc         *tech.Process
-	capacityMbit int
-	ifaceBits    int
-	banks        int
-	blockBits    int
-	redundancy   edram.RedundancyLevel
-	ecc          reliab.ECC
-	targetClock  float64
-	skipBIST     bool
-}
-
 // skelEntry is one memoized bundle: the macro template plus the die-cost
-// results. Both depend only on the key — the die cost reads the
-// template's (page-independent) area, the macro count and the explore's
-// fixed defect density, and within one explore the macro count is a
-// function of the key (macros = req.CapacityMbit / key.capacityMbit,
-// the inverse of how space.point derives per-macro capacity).
+// results. Both depend only on the point's digits other than the page
+// — the die cost reads the template's (page-independent) area, the
+// macro count (the org digit) and the explore's fixed defect density.
+// A nil tmpl after the once marks the projection unbuildable.
 type skelEntry struct {
-	once sync.Once
-
-	tmpl *edram.Template
-	err  error // NewTemplate failure: the whole projection is unbuildable
-
+	once       sync.Once
+	tmpl       *edram.Template
 	dieCostUSD float64
 	dieYield   float64
-	costErr    error
 }
 
-// evalMemo is a per-explore concurrent memo table. A plain map under an
-// RWMutex beats sync.Map here: the comparable struct key needs no
-// interface boxing (sync.Map allocates a key box plus a speculative
-// entry on every lookup), hits take one uncontended RLock, and entries
-// are filled exactly once via their sync.Once outside the write lock so
-// workers racing on the same projection block only for the first
-// computation. The table is scoped to one sweep: the
-// requirements (defect density, hit rate) are part of every cached
-// computation and must not leak across runs.
+// evalMemo is a per-sweep memo table, one entry per point of the
+// space's Seq layout with the page digit removed (the page is the one
+// digit a template ignores). The dense slice is allocated once and
+// never grows, so a lookup is an index and each entry fills exactly
+// once through its sync.Once, blocking only workers racing on that
+// same projection. The table is scoped to one sweep: the requirements'
+// defect density is part of every cached die cost and must not leak
+// across runs.
 type evalMemo struct {
-	req Requirements
-
-	mu    sync.RWMutex
-	skels map[skelKey]*skelEntry
+	req     Requirements
+	space   *space
+	e       tech.Electrical
+	ce      power.CoreEnergy
+	base    int // memo index of entries[0]
+	entries []skelEntry
 }
 
-// newEvalMemo builds the table for one explore.
-func newEvalMemo(req Requirements) *evalMemo {
-	return &evalMemo{
-		req:   req,
-		skels: make(map[skelKey]*skelEntry, 1024),
+// newEvalMemo builds the table covering the Seq window [from, to) of
+// the space.
+func newEvalMemo(req Requirements, sp *space, from, to int) *evalMemo {
+	mm := &evalMemo{req: req, space: sp, e: tech.DefaultElectrical(), ce: power.DefaultCoreEnergy()}
+	if from < to {
+		// The index of a Seq rises with its digits above the page and
+		// cycles with those below it, so the window's indices lie within
+		// the whole above-page blocks that its two ends fall in.
+		span := sp.stride[digitPage] * sp.radix[digitPage]
+		mm.base = from / span * sp.stride[digitPage]
+		end := ((to-1)/span + 1) * sp.stride[digitPage]
+		mm.entries = make([]skelEntry, end-mm.base)
 	}
+	return mm
 }
 
-// entry returns the (unique) skelEntry for the key, creating it on
-// first sight. The double-checked write path keeps the computation
-// itself out of both locks.
-func (mm *evalMemo) entry(k skelKey) *skelEntry {
-	mm.mu.RLock()
-	ent := mm.skels[k]
-	mm.mu.RUnlock()
-	if ent != nil {
-		return ent
+// entry returns the filled memo entry of a point: the index is the
+// point's Seq with the page digit removed. A point outside the table's
+// window gets a one-off entry.
+func (mm *evalMemo) entry(pt *Point) *skelEntry {
+	st, r := mm.space.stride[digitPage], mm.space.radix[digitPage]
+	var ent *skelEntry
+	if i := pt.Seq/(st*r)*st + pt.Seq%st - mm.base; i >= 0 && i < len(mm.entries) {
+		ent = &mm.entries[i]
+	} else {
+		ent = new(skelEntry)
 	}
-	mm.mu.Lock()
-	ent = mm.skels[k]
-	if ent == nil {
-		ent = &skelEntry{}
-		mm.skels[k] = ent
-	}
-	mm.mu.Unlock()
+	ent.once.Do(func() {
+		tmpl, err := edram.NewTemplate(pt.Spec)
+		if err != nil {
+			return
+		}
+		areaMm2 := float64(pt.Macros) * tmpl.TotalAreaMm2()
+		dieCost, dieYield, err := cost.MacroDieCost(
+			tmpl.Process(), 0, areaMm2, mm.req.DefectsPerCm2, repairFractionFor(pt.Spec.Redundancy))
+		if err != nil {
+			return
+		}
+		ent.tmpl, ent.dieCostUSD, ent.dieYield = tmpl, dieCost, dieYield
+	})
 	return ent
 }
 
-// macroArena hands out Macro slots from chunks so each sweep batch
-// costs one bulk allocation instead of one malloc per built point.
-// Chunks are intentionally not pooled: the macros escape into
-// Candidates owned by the caller. One arena belongs to one worker
-// goroutine.
-type macroArena struct {
-	chunk []edram.Macro
+// evaluate is a worker's per-point work: it instantiates the point
+// into the worker's scratch macro and writes its outcome — the
+// evaluation record and violation mask, or unbuildable. The record's
+// floats are byte-for-byte those of the unmemoized evaluate (both run
+// measure). For a sweep with an observer it also assembles the full
+// candidate, on a macro of its own, through scoreCandidate, so the
+// observer's candidates are built on the workers.
+func (mm *evalMemo) evaluate(o *outcome, pt *Point, scratch *edram.Macro, observed bool) {
+	ent := mm.entry(pt)
+	if o.ok = ent.tmpl != nil && ent.tmpl.PageFits(pt.Spec.PageBits); !o.ok {
+		return
+	}
+	m := scratch
+	if observed {
+		m = new(edram.Macro) // the observer's candidate keeps it
+	}
+	if o.ok = ent.tmpl.InstantiateInto(m, pt.Spec.PageBits) == nil; !o.ok {
+		return
+	}
+	o.ev = measure(pt.Seq, m, pt.Macros, &mm.req, mm.e, mm.ce, ent.dieCostUSD)
+	o.viol = violations(&o.ev, &mm.req)
+	if observed {
+		o.cand = scoreCandidate(pt.Spec, pt.Macros, m, mm.req, mm.e, mm.ce, ent.dieCostUSD, ent.dieYield)
+		o.cand.Seq = pt.Seq
+	}
 }
 
-// next returns a fresh zero slot.
-func (a *macroArena) next() *edram.Macro {
-	if len(a.chunk) == cap(a.chunk) {
-		a.chunk = make([]edram.Macro, 0, sweepBatch)
+// candidate materializes the full Candidate of a built point from its
+// Seq alone: the space's point, the memo's template, then
+// scoreCandidate — the same pure computations the worker ran, so the
+// bytes match the record it emitted. It is the only way the fold and
+// DeltaExplore turn a record into a Candidate. A Seq that has a record
+// is buildable by construction; any other is a programming error.
+func (mm *evalMemo) candidate(seq int) Candidate {
+	pt := mm.space.point(seq)
+	ent := mm.entry(&pt)
+	m := new(edram.Macro)
+	if ent.tmpl == nil || ent.tmpl.InstantiateInto(m, pt.Spec.PageBits) != nil {
+		panic(fmt.Sprintf("core: materializing seq %d, which has no evaluation record", seq))
 	}
-	a.chunk = a.chunk[:len(a.chunk)+1]
-	return &a.chunk[len(a.chunk)-1]
-}
-
-// undo returns the most recent slot (nothing may reference it).
-func (a *macroArena) undo() {
-	a.chunk = a.chunk[:len(a.chunk)-1]
-}
-
-// evaluateInto is the memoized form of core.evaluate, writing the
-// candidate into dst (fully overwritten either way) and reporting
-// buildability — byte-for-byte the results of the unmemoized path,
-// with the template and die-cost sub-models served from the memo table
-// and the macro allocated from the worker's arena.
-func (mm *evalMemo) evaluateInto(dst *Candidate, pt *Point, e tech.Electrical, ce power.CoreEnergy, ar *macroArena) bool {
-	spec := pt.Spec
-	macros := pt.Macros
-	if macros < 1 {
-		macros = 1
-	}
-	k := skelKey{
-		proc:         spec.Process,
-		capacityMbit: spec.CapacityMbit,
-		ifaceBits:    spec.InterfaceBits,
-		banks:        spec.Banks,
-		blockBits:    spec.BlockBits,
-		redundancy:   spec.Redundancy,
-		ecc:          spec.ECC,
-		targetClock:  spec.TargetClockMHz,
-		skipBIST:     spec.SkipBIST,
-	}
-	ent := mm.entry(k)
-	ent.once.Do(func() {
-		ent.tmpl, ent.err = edram.NewTemplate(spec)
-		if ent.err != nil {
-			return
-		}
-		areaMm2 := float64(macros) * ent.tmpl.TotalAreaMm2()
-		ent.dieCostUSD, ent.dieYield, ent.costErr = cost.MacroDieCost(
-			ent.tmpl.Process(), 0, areaMm2, mm.req.DefectsPerCm2, repairFractionFor(spec.Redundancy))
-	})
-	if ent.err != nil {
-		*dst = Candidate{}
-		return false
-	}
-	m := ar.next()
-	if err := ent.tmpl.InstantiateInto(m, spec.PageBits); err != nil {
-		ar.undo()
-		*dst = Candidate{}
-		return false
-	}
-	if ent.costErr != nil {
-		ar.undo()
-		*dst = Candidate{}
-		return false
-	}
-	*dst = scoreCandidate(spec, macros, m, mm.req, e, ce, ent.dieCostUSD, ent.dieYield)
-	return true
+	c := scoreCandidate(pt.Spec, pt.Macros, m, mm.req, mm.e, mm.ce, ent.dieCostUSD, ent.dieYield)
+	c.Seq = seq
+	return c
 }

@@ -84,8 +84,7 @@ func structBuildable(spec edram.Spec) bool {
 	if spec.Banks > blocks || blocks%spec.Banks != 0 {
 		return false
 	}
-	cols := geom.MacroGeometry{BlockBits: spec.BlockBits}.BlockColumns()
-	return spec.PageBits <= cols*(blocks/spec.Banks)
+	return spec.PageBits <= geom.MacroGeometry{BlockBits: spec.BlockBits, Blocks: blocks, Banks: spec.Banks}.MaxPageBits()
 }
 
 // blockClock returns the sweep's operating clock for a building block

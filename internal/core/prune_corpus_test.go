@@ -71,6 +71,24 @@ func TestPrunedParityScenarioCorpus(t *testing.T) {
 					t.Fatalf("removed %d != SkippedBuildable %d",
 						len(plain)-len(pruned), qs.SkippedBuildable)
 				}
+				// The closest miss depends on what was enumerated: each
+				// run's is the CloserMiss pick over its own stream, and
+				// the rest of the folds must be equal.
+				for _, run := range []struct {
+					cands []core.Candidate
+					res   *core.SweepResult
+				}{{plain, &pr}, {pruned, &qr}} {
+					var want core.Candidate
+					for i := range run.cands {
+						if c := &run.cands[i]; !c.Feasible && core.CloserMiss(c, &want) {
+							want = *c
+						}
+					}
+					if !reflect.DeepEqual(run.res.Nearest, want) {
+						t.Fatalf("fold's closest miss Seq %d, stream's Seq %d", run.res.Nearest.Seq, want.Seq)
+					}
+					run.res.Nearest = core.Candidate{}
+				}
 				if !reflect.DeepEqual(pr, qr) || qs.Pruned != ps.Pruned || qs.FrontSize != ps.FrontSize {
 					t.Fatalf("folds diverge:\nunpruned %+v\npruned   %+v", ps, qs)
 				}

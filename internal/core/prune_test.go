@@ -94,6 +94,19 @@ func assertPruneParity(t *testing.T, plain, pruned []Candidate, ps, qs ExploreSt
 	if pr.Enumerated != ps.Enumerated || pr.Built != ps.Built || pr.Infeasible != ps.Infeasible {
 		t.Fatalf("unpruned fold %d/%d/%d differs from its counters %+v", pr.Enumerated, pr.Built, pr.Infeasible, ps)
 	}
+	// The closest miss is the one part of the fold that depends on
+	// what was enumerated: each run's is the CloserMiss pick over its
+	// own stream, and the rest of the folds must be equal.
+	for _, run := range []struct {
+		cands []Candidate
+		res   *SweepResult
+	}{{plain, &pr}, {pruned, &qr}} {
+		if want := streamNearest(run.cands); !reflect.DeepEqual(run.res.Nearest, want) {
+			t.Fatalf("fold's closest miss Seq %d %q, stream's Seq %d %q",
+				run.res.Nearest.Seq, run.res.Nearest.Reasons, want.Seq, want.Reasons)
+		}
+		run.res.Nearest = Candidate{}
+	}
 	if !reflect.DeepEqual(pr, qr) {
 		t.Fatalf("folds differ:\nunpruned %d/%d/%d, %d front\npruned   %d/%d/%d, %d front",
 			pr.Enumerated, pr.Built, pr.Infeasible, len(pr.Frontier), qr.Enumerated, qr.Built, qr.Infeasible, len(qr.Frontier))
@@ -101,6 +114,17 @@ func assertPruneParity(t *testing.T, plain, pruned []Candidate, ps, qs ExploreSt
 	if qs.Pruned != ps.Pruned || qs.FrontSize != ps.FrontSize {
 		t.Fatalf("front counters differ: pruned %+v vs unpruned %+v", qs, ps)
 	}
+}
+
+// streamNearest is the CloserMiss pick over a candidate stream.
+func streamNearest(cands []Candidate) Candidate {
+	var nearest Candidate
+	for i := range cands {
+		if c := &cands[i]; !c.Feasible && CloserMiss(c, &nearest) {
+			nearest = *c
+		}
+	}
+	return nearest
 }
 
 func TestPrunedExploreParity(t *testing.T) {

@@ -299,15 +299,24 @@ func (a *Array) Read(tMs float64, r, c int) (bool, error) {
 	return v, nil
 }
 
-// FillPattern raw-initializes every cell to pat(r,c), bypassing write
+// fillBackground raw-initializes every cell to the checkerboard
+// background (backgroundAt) a 64-bit word at a time, bypassing write
 // fault semantics (stuck and transition behaviour still applies on
 // later reads and writes), and restarts every row's retention clock at
 // tMs. It models the array's initialized state rather than a sequence
 // of write operations.
-func (a *Array) FillPattern(tMs float64, pat func(r, c int) bool) {
+func (a *Array) fillBackground(tMs float64) {
 	for r := 0; r < a.rows; r++ {
-		for c := 0; c < a.cols; c++ {
-			a.rawSet(r, c, pat(r, c))
+		// Cell (r, c) is bit i = r*cols + c, and r+c is odd exactly when
+		// i + r*(cols-1) is: the row sets its odd bits when r*(cols-1)
+		// is even and its even bits otherwise (words start on even bits).
+		mask := uint64(0xAAAAAAAAAAAAAAAA) >> (r * (a.cols - 1) % 2)
+		for lo, hi := r*a.cols, (r+1)*a.cols; lo < hi; {
+			w, b := lo/64, lo%64
+			n := min(64-b, hi-lo)
+			span := ^uint64(0) >> (64 - n) << b
+			a.data[w] = a.data[w]&^span | mask&span
+			lo += n
 		}
 		a.rowRestore[r] = tMs
 	}

@@ -265,3 +265,34 @@ func TestAddressDecoderInjectValidation(t *testing.T) {
 		t.Error("self-redirect must error")
 	}
 }
+
+// TestFillBackgroundMatchesPerCell pins the word-at-a-time background
+// fill bit for bit to the per-cell checkerboard, over an array whose
+// words start dirty, for a column count that is a multiple of 64, an
+// even one that is not, and an odd one.
+func TestFillBackgroundMatchesPerCell(t *testing.T) {
+	for _, cols := range []int{128, 96, 67} {
+		got, want := mustArray(t, 9, cols), mustArray(t, 9, cols)
+		for i := range got.data {
+			got.data[i] = 0x0123456789abcdef * uint64(i+1)
+			want.data[i] = got.data[i]
+		}
+		got.fillBackground(3)
+		for r := 0; r < want.rows; r++ {
+			for c := 0; c < want.cols; c++ {
+				want.rawSet(r, c, backgroundAt(r, c))
+			}
+			want.rowRestore[r] = 3
+		}
+		for i := range want.data {
+			if got.data[i] != want.data[i] {
+				t.Fatalf("cols %d: word %d is %#x, per-cell fill gives %#x", cols, i, got.data[i], want.data[i])
+			}
+		}
+		for r, ms := range got.rowRestore {
+			if ms != 3 {
+				t.Fatalf("cols %d: row %d restored at %g ms, want 3", cols, r, ms)
+			}
+		}
+	}
+}

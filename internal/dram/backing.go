@@ -63,7 +63,7 @@ func (d *Device) SetBacking(arrays []*Array, onError WordErrorFunc) error {
 	// is raw: stuck cells will still read wrong, which is exactly the
 	// manufactured-defect behaviour the pipeline should see.
 	for _, a := range arrays {
-		a.FillPattern(0, backgroundAt)
+		a.fillBackground(0)
 	}
 	b := &backingState{
 		arrays:  arrays,

@@ -202,12 +202,11 @@ func Build(spec Spec) (*Macro, error) {
 // calls; the design explorer memoizes Templates per unique projection
 // so the sweep's page-length variants share the expensive sub-models.
 type Template struct {
-	spec    Spec // as given to NewTemplate; PageBits replaced per Instantiate
-	geo     geom.MacroGeometry
-	area    geom.AreaBreakdown
-	timing  tech.SDRAMTiming
-	clock   float64
-	maxPage int
+	spec   Spec // as given to NewTemplate; PageBits replaced per Instantiate
+	geo    geom.MacroGeometry
+	area   geom.AreaBreakdown
+	timing tech.SDRAMTiming
+	clock  float64
 }
 
 // NewTemplate validates and derives everything about the spec except
@@ -298,12 +297,11 @@ func NewTemplate(spec Spec) (*Template, error) {
 		return nil, err
 	}
 	return &Template{
-		spec:    spec,
-		geo:     g,
-		area:    area,
-		timing:  tm,
-		clock:   clock,
-		maxPage: g.BlockColumns() * (blocks / banks),
+		spec:   spec,
+		geo:    g,
+		area:   area,
+		timing: tm,
+		clock:  clock,
 	}, nil
 }
 
@@ -328,20 +326,28 @@ func (t *Template) Instantiate(pageBits int) (*Macro, error) {
 	return m, nil
 }
 
-// InstantiateInto is Instantiate writing into caller-provided storage
-// (the design explorer chunk-allocates Macro slots to keep the sweep's
-// allocation count flat). On success *m is fully overwritten; on error
-// it is left untouched.
-func (t *Template) InstantiateInto(m *Macro, pageBits int) error {
+// PageFits reports whether Instantiate accepts pageBits, by the rule
+// ValidatePage applies but without building its error.
+func (t *Template) PageFits(pageBits int) bool { return t.geometry(pageBits).PageFits() }
+
+// geometry is the template's geometry at one page length: 0 derives
+// the default (8x the interface width, capped by the bank's column
+// span).
+func (t *Template) geometry(pageBits int) geom.MacroGeometry {
 	g := t.geo
-	page := pageBits
-	if page == 0 {
-		page = g.InterfaceBits * 8
-		if page > t.maxPage {
-			page = t.maxPage
-		}
+	g.PageBits = pageBits
+	if pageBits == 0 {
+		g.PageBits = min(g.InterfaceBits*8, g.MaxPageBits())
 	}
-	g.PageBits = page
+	return g
+}
+
+// InstantiateInto is Instantiate writing into caller-provided storage
+// (the design explorer evaluates every point into one scratch Macro
+// per worker). On success *m is fully overwritten; on error it is left
+// untouched.
+func (t *Template) InstantiateInto(m *Macro, pageBits int) error {
+	g := t.geometry(pageBits)
 	if err := g.ValidatePage(); err != nil {
 		return err
 	}

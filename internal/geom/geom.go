@@ -11,6 +11,7 @@
 package geom
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -131,17 +132,35 @@ func (g MacroGeometry) ValidateSansPage() error {
 	return nil
 }
 
+// MaxPageBits is the bank's column span: the longest page the
+// geometry's blocks can open in parallel.
+func (g MacroGeometry) MaxPageBits() int { return g.BlockColumns() * (g.Blocks / g.Banks) }
+
+// PageFits reports whether ValidatePage accepts the page length,
+// without building the error: the design explorer's sweep rejects
+// many page lengths and reads none of the messages.
+func (g MacroGeometry) PageFits() bool { return g.pageError(false) == nil }
+
 // ValidatePage checks only the page-length rules (positive, at least the
 // interface width, within the bank's column span).
-func (g MacroGeometry) ValidatePage() error {
-	if g.PageBits <= 0 || g.PageBits < g.InterfaceBits {
+func (g MacroGeometry) ValidatePage() error { return g.pageError(true) }
+
+// errPageRange is PageFits' undescribed page-length failure.
+var errPageRange = errors.New("geom: page length out of range")
+
+// pageError applies the page-length rules, describing a failure only
+// when asked to.
+func (g MacroGeometry) pageError(describe bool) error {
+	short := g.PageBits <= 0 || g.PageBits < g.InterfaceBits
+	switch {
+	case !short && g.PageBits <= g.MaxPageBits():
+		return nil
+	case !describe:
+		return errPageRange
+	case short:
 		return fmt.Errorf("geom: page length %d must be positive and >= interface width %d", g.PageBits, g.InterfaceBits)
 	}
-	maxPage := g.BlockColumns() * (g.Blocks / g.Banks)
-	if g.PageBits > maxPage {
-		return fmt.Errorf("geom: page length %d exceeds the bank's column span %d", g.PageBits, maxPage)
-	}
-	return nil
+	return fmt.Errorf("geom: page length %d exceeds the bank's column span %d", g.PageBits, g.MaxPageBits())
 }
 
 // AreaBreakdown is the silicon-area report of a macro.

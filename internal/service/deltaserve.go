@@ -80,21 +80,23 @@ func (ix *deltaIndex) store(st *core.DeltaState) {
 }
 
 // buildExploreRecorded is the cold local explore path that feeds the
-// delta tier: the sweep records every built evaluation, and on success
-// the sealed state enters the index so later same-structure requests
-// can be served incrementally.
+// delta tier: the pruned sweep BuildExplore runs, recording every built
+// evaluation, and on success the sealed state enters the index so
+// later same-structure requests can be served incrementally.
 func (s *Server) buildExploreRecorded(ctx context.Context, req core.Requirements, workers int) (*ExploreResponse, error) {
 	st, err := core.NewDeltaState(req)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := BuildExplore(ctx, req, workers, nil, core.WithObserver(st.Observe))
+	res, err := st.Record(ctx, core.WithWorkers(workers))
 	if err != nil {
 		return nil, err
 	}
-	st.Seal()
-	s.deltaStates.store(st)
-	return resp, nil
+	resp, err := exploreResponseFromMerged(req, res)
+	if err == nil {
+		s.deltaStates.store(st)
+	}
+	return resp, err
 }
 
 // deltaLookup returns the retained state able to serve req, counting a

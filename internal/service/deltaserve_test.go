@@ -16,7 +16,7 @@ import (
 func buildExploreUnpruned(t *testing.T, req core.Requirements, workers int) []byte {
 	t.Helper()
 	var final core.ExploreStats
-	ch, err := core.ExploreContext(context.Background(), req,
+	res, err := core.SweepContext(context.Background(), req,
 		core.WithWorkers(workers),
 		core.WithProgress(func(s core.ExploreStats) {
 			if s.Done {
@@ -25,10 +25,6 @@ func buildExploreUnpruned(t *testing.T, req core.Requirements, workers int) []by
 		}))
 	if err != nil {
 		t.Fatal(err)
-	}
-	front := core.NewFrontier()
-	for c := range ch {
-		front.Add(c)
 	}
 	resp := &ExploreResponse{
 		SchemaVersion: SchemaVersion,
@@ -41,7 +37,7 @@ func buildExploreUnpruned(t *testing.T, req core.Requirements, workers int) []by
 		Frontier:      []CandidateJSON{},
 		Picks:         []RecommendationJSON{},
 	}
-	frontier := front.Candidates()
+	frontier := res.Frontier
 	for _, c := range frontier {
 		resp.Frontier = append(resp.Frontier, candidateJSON(c))
 	}

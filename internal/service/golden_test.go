@@ -91,14 +91,11 @@ func TestExploreGoldenDigests(t *testing.T) {
 		{"window-pruned", []core.ExploreOption{core.WithPruning()}, "820a25e19f541e98b6ab42375e4686289ca5563febd2ff2518c211419672b75d"},
 	}
 	for _, tc := range windows {
-		opts := append([]core.ExploreOption{core.WithWorkers(2), core.WithSeqRange(701, 1555)}, tc.opts...)
-		ch, err := core.ExploreContext(ctx, win, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var seqs []int
-		for c := range ch {
-			seqs = append(seqs, c.Seq)
+		opts := append([]core.ExploreOption{core.WithWorkers(2), core.WithSeqRange(701, 1555),
+			core.WithObserver(func(c core.Candidate) { seqs = append(seqs, c.Seq) })}, tc.opts...)
+		if _, err := core.SweepContext(ctx, win, opts...); err != nil {
+			t.Fatal(err)
 		}
 		sort.Ints(seqs)
 		var sb strings.Builder
