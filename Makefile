@@ -85,15 +85,18 @@ bench-compare: bench
 # only replays the seed corpora (no -fuzz) of the cell-array fuzzer, of
 # the job checkpoint-state decoder (FuzzExploreJobState: the explore,
 # trials and scenario states) and of the requirements request decoder
-# and canonical key (internal/service/testdata/fuzz), and of the
-# ckpt/v1 record loader (internal/jobs/testdata/fuzz), which is cheap
-# enough to sit on the tier-1 path.
+# and canonical key (internal/service/testdata/fuzz), of the ckpt/v1
+# record loader (internal/jobs/testdata/fuzz), of the scenario loader
+# (FuzzScenarioParse, internal/scenario/testdata/fuzz) and of the disk
+# cache's record decoder (FuzzParseRecord,
+# internal/diskcache/testdata/fuzz), which is cheap enough to sit on
+# the tier-1 path.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzArrayReadWrite -fuzztime $(FUZZTIME) ./internal/dram/
 
 fuzz-smoke:
-	$(GO) test -run '^Fuzz' ./internal/dram/ ./internal/service/ ./internal/jobs/
+	$(GO) test -run '^Fuzz' ./internal/dram/ ./internal/service/ ./internal/jobs/ ./internal/scenario/ ./internal/diskcache/
 
 # serve-smoke boots the real edramd daemon on a random loopback port,
 # drives /healthz, /v1/recommend and /metrics with live HTTP calls,

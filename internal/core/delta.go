@@ -204,9 +204,8 @@ func DeltaExplore(ctx context.Context, s *DeltaState, newReq Requirements, worke
 		f.add(ev, violations(ev, &newReq))
 	}
 	// The result materializes a few dozen candidates, spread over the
-	// whole space: an empty memo window builds each one's template
-	// afresh instead of allocating a table for every point.
-	res := f.result(skipped, skippedBuildable, newEvalMemo(newReq, s.space, 0, 0))
+	// whole space; candidate builds each one's template afresh.
+	res := f.result(skipped, skippedBuildable, newEvalMemo(newReq, s.space))
 	return &DeltaResult{SweepResult: res, Swept: swept, Reused: f.built - freshBuilt}, nil
 }
 

@@ -2,8 +2,10 @@
 // interface width × banks × page length × block size × redundancy ×
 // process (§3); space lays that product out as Seq numbers, and
 // SweepContext evaluates its points on a worker pool and folds them in
-// the caller's goroutine. A worker emits one evaluation record per
-// built point (pointEval plus a violation mask); the fold keeps an
+// the caller's goroutine. The producer hands workers one above-page
+// block per batch, and each worker builds the block's templates into a
+// slot table of its own (memo.go). A worker emits one evaluation record
+// per built point (pointEval plus a violation mask); the fold keeps an
 // incremental Pareto front of bare candidates and the closest miss,
 // and builds full Candidates — Macro and reasons — only for what the
 // sweep returns, or for every built point when the sweep has an
@@ -38,11 +40,6 @@ type Point struct {
 	Spec   edram.Spec
 	Macros int
 }
-
-// sweepBatch is the number of points handed to a worker per channel
-// operation — batching amortizes the synchronization cost, which would
-// otherwise rival the few-µs evaluation time of one candidate.
-const sweepBatch = 32
 
 // The sweep's free dimensions (§3), one table per Seq digit. space is
 // the only code that turns these tables into Seq numbers and back.
@@ -158,9 +155,9 @@ func (s *space) at(seq int, d *[numDigits]int) Point {
 }
 
 // resolveProcesses returns the explore's process slice: the request's,
-// or the default DRAM-based process. A sweep passes the same
-// slice to the sweep and to the memo table so process identity resolves
-// by pointer on the hot path.
+// or the default DRAM-based process. A sweep decodes every point
+// against the same slice, so process identity resolves by pointer on
+// the hot path.
 func resolveProcesses(req Requirements) []tech.Process {
 	if len(req.Processes) > 0 {
 		return req.Processes
@@ -179,58 +176,73 @@ func SweepCount(req Requirements) int {
 // maxSeq is the open upper bound of an unrestricted sweep range.
 const maxSeq = int(^uint(0) >> 1)
 
-// putPointBatch returns a consumed sweep batch to the pool.
-func putPointBatch(bp *[]Point) { pointBatchPool.Put(bp) }
-
 // outcome is a worker's verdict on one point: whether it is buildable
-// and, if so, its evaluation record and violation mask, plus the full
-// candidate when the sweep has an observer. Workers forward outcomes to
-// the collector at batch granularity.
+// and, if so, its evaluation record and violation mask. Workers forward
+// outcomes to the collector at batch granularity.
 type outcome struct {
 	ev   pointEval
 	viol uint8
 	ok   bool
-	cand Candidate
 }
 
-// outcomePool recycles the per-batch outcome slices the same way
-// pointBatchPool recycles sweep batches.
-var outcomePool = sync.Pool{
-	New: func() any { s := make([]outcome, 0, sweepBatch); return &s },
+// batch is a run of a sweep's points on their way from the producer to
+// a worker, then their outcomes (outs[i] for points[i]) on the way to
+// the collector, which returns it to batchPool: the steady-state sweep
+// allocates no per-batch slices. Pooled content is always truncated
+// and rewritten before use — nothing carries over. cands holds the
+// full candidates of a sweep with an observer; it stays nil until the
+// batch serves such a sweep, so the batches of unobserved sweeps carry
+// only the small outcome records.
+type batch struct {
+	points []Point
+	outs   []outcome // len(outs) == cap(points)
+	cands  []Candidate
 }
 
-// pointBatchPool recycles sweep batches between the producer and the
-// consumers (workers return a batch once its points are evaluated), so
-// the steady-state sweep allocates no per-batch slices. Pooled content
-// is always truncated and rewritten before use — nothing carries over.
-var pointBatchPool = sync.Pool{
-	New: func() any { s := make([]Point, 0, sweepBatch); return &s },
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
+
+// getBatch takes an empty batch from the pool that holds n points
+// without growing.
+func getBatch(n int) *batch {
+	b := batchPool.Get().(*batch)
+	if cap(b.points) < n {
+		b.points, b.outs = make([]Point, 0, n), make([]outcome, n)
+	}
+	b.points = b.points[:0]
+	return b
 }
+
+// blockSpan is the number of Seqs in one above-page block: the page
+// variants of every projection in the block. A sweep batch never
+// splits one.
+func (s *space) blockSpan() int { return s.stride[digitPage] * s.radix[digitPage] }
 
 // sweepRanges streams the points of the sorted, disjoint Seq ranges in
-// order, in pooled batches. The ranges are a prune plan's enumerated
-// window, so Seq numbering stays absolute: a ranged or pruned sweep is
-// exactly the corresponding slice of the full enumeration (the
-// property range-partitioned checkpoints rely on). Receivers own each
-// batch and should return it via putPointBatch when done.
-func sweepRanges(ctx context.Context, sp *space, ranges []seqRange) <-chan *[]Point {
-	out := make(chan *[]Point, 8)
+// order, one batch per above-page block, so every page variant of a
+// projection reaches the same worker in one batch (batching also
+// amortizes the synchronization cost, which would otherwise rival the
+// few-µs evaluation time of one candidate). The ranges are a prune
+// plan's enumerated window, so Seq numbering stays absolute: a ranged
+// or pruned sweep is exactly the corresponding slice of the full
+// enumeration (the property range-partitioned checkpoints rely on).
+// Receivers own each batch and should return it to batchPool when
+// done.
+func sweepRanges(ctx context.Context, sp *space, ranges []seqRange) <-chan *batch {
+	out := make(chan *batch, 8)
+	span := sp.blockSpan()
 	go func() {
 		defer close(out)
-		bp := pointBatchPool.Get().(*[]Point)
-		// bp is swapped for a fresh slice the moment it is sent, so the
+		b := getBatch(span)
+		// b is swapped for a fresh batch the moment it is sent, so the
 		// one held at exit was never handed out and can be recycled.
-		defer func() { pointBatchPool.Put(bp) }()
-		batch := (*bp)[:0]
+		defer func() { batchPool.Put(b) }()
 		flush := func() bool {
-			if len(batch) == 0 {
+			if len(b.points) == 0 {
 				return true
 			}
-			*bp = batch
 			select {
-			case out <- bp:
-				bp = pointBatchPool.Get().(*[]Point)
-				batch = (*bp)[:0]
+			case out <- b:
+				b = getBatch(span)
 				return true
 			case <-ctx.Done():
 				return false
@@ -238,8 +250,11 @@ func sweepRanges(ctx context.Context, sp *space, ranges []seqRange) <-chan *[]Po
 		}
 		for _, r := range ranges {
 			if !sp.walk(r.From, r.To, func(p Point) bool {
-				batch = append(batch, p)
-				return len(batch) < sweepBatch || flush()
+				if len(b.points) > 0 && p.Seq/span != b.points[0].Seq/span && !flush() {
+					return false
+				}
+				b.points = append(b.points, p)
+				return true
 			}) {
 				return
 			}
@@ -524,8 +539,7 @@ func newSweep(req Requirements, opts []ExploreOption) (*sweep, error) {
 		plan = newPrunePlan(req, sp)
 	}
 	from, to := cfg.seqFrom, min(cfg.seqTo, sp.total)
-	return &sweep{cfg: cfg, space: sp, plan: plan, memo: newEvalMemo(req, sp, from, to),
-		from: from, to: to}, nil
+	return &sweep{cfg: cfg, space: sp, plan: plan, memo: newEvalMemo(req, sp), from: from, to: to}, nil
 }
 
 // sweepRecorded is SweepContext keeping every built evaluation record
@@ -561,13 +575,13 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 	batches := sweepRanges(ctx, s.space, s.plan.enumerated(s.from, s.to))
 	start := time.Now() //nolint:edramvet/determinism // feeds ExploreStats.WallTime only, never results
 
-	// Workers: evaluate batches of points into one scratch macro each,
-	// forwarding outcomes (including unbuildable corners, so the
-	// collector can count enumeration) to the collector at batch
-	// granularity — per-point channel traffic would rival the evaluation
-	// cost itself. Both the point batches and the outcome slices are
-	// pooled: the collector returns each slice once it has read it.
-	results := make(chan *[]outcome, cfg.workers*2)
+	// Workers: evaluate batches of points through a slot table and one
+	// scratch macro each, forwarding outcomes (including unbuildable
+	// corners, so the collector can count enumeration) to the collector
+	// in the batch they came in — per-point channel traffic would rival
+	// the evaluation cost itself. The collector returns each batch to
+	// the pool once it has read it.
+	results := make(chan *batch, cfg.workers*2)
 	busy := make([]time.Duration, cfg.workers)
 	observed := cfg.observer != nil
 	var wg sync.WaitGroup
@@ -577,19 +591,23 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 			defer wg.Done()
 			var acc time.Duration
 			var scratch edram.Macro
+			slots := s.memo.table()
 			defer func() { busy[w] = acc }()
-			for bp := range batches {
+			for b := range batches {
 				t0 := time.Now() //nolint:edramvet/determinism // feeds ExploreStats.WorkerBusy only, never results
-				op := outcomePool.Get().(*[]outcome)
-				outs := (*op)[:len(*bp)]
-				for i := range *bp {
-					s.memo.evaluate(&outs[i], &(*bp)[i], &scratch, observed)
+				if observed && len(b.cands) < len(b.outs) {
+					b.cands = make([]Candidate, len(b.outs))
 				}
-				putPointBatch(bp)
-				*op = outs
+				for i := range b.points {
+					var cand *Candidate // the observer's, if any
+					if observed {
+						cand = &b.cands[i]
+					}
+					s.memo.evaluate(&b.outs[i], cand, &b.points[i], slots, &scratch)
+				}
 				acc += time.Since(t0)
 				select {
-				case results <- op:
+				case results <- b:
 				case <-ctx.Done():
 					return
 				}
@@ -619,13 +637,13 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 		return st
 	}
 	lastProgress := int64(0)
-	for op := range results {
+	for b := range results {
 		if ctx.Err() != nil {
-			outcomePool.Put(op)
+			batchPool.Put(b)
 			continue
 		}
-		for i := range *op {
-			o := &(*op)[i]
+		for i := range b.points {
+			o := &b.outs[i]
 			f.enumerated++
 			if !o.ok { // unbuildable corner of the space
 				continue
@@ -635,10 +653,10 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 				s.evals = append(s.evals, o.ev)
 			}
 			if observed {
-				cfg.observer(o.cand)
+				cfg.observer(b.cands[i])
 			}
 		}
-		outcomePool.Put(op)
+		batchPool.Put(b)
 		if cfg.progress != nil && f.enumerated-lastProgress >= int64(cfg.progressEvery) {
 			lastProgress = f.enumerated
 			cfg.progress(snapshot(false))
@@ -667,7 +685,9 @@ func ExploreContext(ctx context.Context, req Requirements, opts ...ExploreOption
 	if err != nil {
 		return nil, err
 	}
-	out := make(chan Candidate, 4*sweepBatch)
+	// A few batches' worth of candidates, so the fold keeps draining
+	// workers while the consumer catches up.
+	out := make(chan Candidate, 128)
 	user := s.cfg.observer
 	s.cfg.observer = func(c Candidate) {
 		if user != nil {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"edram/internal/power"
@@ -39,6 +41,14 @@ func TestExploreMemoParity(t *testing.T) {
 		"default-process": req(),
 		"multi-process": func() Requirements {
 			r := req()
+			r.Processes = []tech.Process{tech.Siemens024(), tech.Logic024()}
+			return r
+		}(),
+		// 13 Mbit: bank counts that do not divide the block count make
+		// whole projections unbuildable (the template itself fails).
+		"odd-capacity-multi-process": func() Requirements {
+			r := req()
+			r.CapacityMbit = 13
 			r.Processes = []tech.Process{tech.Siemens024(), tech.Logic024()}
 			return r
 		}(),
@@ -105,6 +115,47 @@ func TestExploreMemoParity(t *testing.T) {
 				t.Fatalf("recommendation JSON diverges:\nmemoized:  %s\nreference: %s", gotRecsJSON, wantRecsJSON)
 			}
 		})
+	}
+
+	// Windows that start and end inside above-page blocks, so a worker's
+	// slot table sees partial blocks, and at three workers each worker
+	// skips the blocks the others took: a slot must be refilled whenever
+	// its projection changes, and a projection whose template fails
+	// must leave its slot unusable. Every candidate must still match
+	// the reference byte for byte.
+	for _, name := range []string{"multi-process", "odd-capacity-multi-process"} {
+		r := cases[name]
+		ref := exploreUnmemoized(t, r)
+		total := SweepCount(r)
+		span := newSpace(r, resolveProcesses(r)).blockSpan()
+		for _, w := range [][2]int{{7, total - 5}, {span + 5, 3*span - 7}, {2*span - 1, 2*span + 1}} {
+			for _, workers := range []int{1, 3} {
+				var want []Candidate
+				for _, c := range ref {
+					if c.Seq >= w[0] && c.Seq < w[1] {
+						want = append(want, c)
+					}
+				}
+				var got []Candidate
+				if _, err := SweepContext(context.Background(), r, WithWorkers(workers), WithSeqRange(w[0], w[1]),
+					WithObserver(func(c Candidate) { got = append(got, c) })); err != nil {
+					t.Fatal(err)
+				}
+				sort.Slice(got, func(i, j int) bool { return got[i].Seq < got[j].Seq })
+				gotJSON, err := json.Marshal(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantJSON, err := json.Marshal(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) == 0 || !bytes.Equal(gotJSON, wantJSON) {
+					t.Fatalf("%s: window %v at %d workers: %d candidates, reference %d; bytes differ",
+						name, w, workers, len(got), len(want))
+				}
+			}
+		}
 	}
 }
 

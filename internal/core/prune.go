@@ -109,7 +109,8 @@ func blockClock(block int) (float64, bool) {
 // sum), so the corner is a true lower bound. ok is false when the
 // corner cannot be built (no area prune for the subspace then).
 func cornerAreaMm2(capPerMacro, iface, block, macros int, proc *tech.Process) (float64, bool) {
-	t, err := edram.NewTemplate(edram.Spec{
+	var t edram.Template
+	if t.Reset(edram.Spec{
 		CapacityMbit:  capPerMacro,
 		InterfaceBits: iface,
 		Banks:         1,
@@ -117,8 +118,7 @@ func cornerAreaMm2(capPerMacro, iface, block, macros int, proc *tech.Process) (f
 		Redundancy:    edram.RedundancyNone,
 		ECC:           reliab.ECCNone,
 		Process:       proc,
-	})
-	if err != nil {
+	}) != nil {
 		return 0, false
 	}
 	return float64(macros) * t.TotalAreaMm2(), true

@@ -203,9 +203,9 @@ func drainSweep(t *testing.T, req Requirements) []Point {
 	t.Helper()
 	sp := newSpace(req, resolveProcesses(req))
 	var out []Point
-	for bp := range sweepRanges(context.Background(), sp, (&prunePlan{}).enumerated(0, sp.total)) {
-		out = append(out, *bp...)
-		putPointBatch(bp)
+	for b := range sweepRanges(context.Background(), sp, (&prunePlan{}).enumerated(0, sp.total)) {
+		out = append(out, b.points...)
+		batchPool.Put(b)
 	}
 	return out
 }

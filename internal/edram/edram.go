@@ -198,11 +198,12 @@ func Build(spec Spec) (*Macro, error) {
 // spans blocks fired in parallel; it changes activation energy and
 // row-buffer behaviour, not the floorplan or the block timing).
 // Instantiate stamps out the full Macro for one page length. A Template
-// is immutable after NewTemplate and safe for concurrent Instantiate
-// calls; the design explorer memoizes Templates per unique projection
-// so the sweep's page-length variants share the expensive sub-models.
+// is unchanged by Instantiate and safe for concurrent Instantiate calls
+// until its next Reset; the design explorer builds one Template per
+// unique projection so the sweep's page-length variants share the
+// expensive sub-models.
 type Template struct {
-	spec   Spec // as given to NewTemplate; PageBits replaced per Instantiate
+	spec   Spec // as given to Reset; PageBits replaced per Instantiate
 	geo    geom.MacroGeometry
 	area   geom.AreaBreakdown
 	timing tech.SDRAMTiming
@@ -213,15 +214,27 @@ type Template struct {
 // the page length. Spec.PageBits is ignored; its rules are checked by
 // Instantiate.
 func NewTemplate(spec Spec) (*Template, error) {
+	t := new(Template)
+	if err := t.Reset(spec); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Reset is NewTemplate building into caller-provided storage (the
+// design explorer keeps one table of Templates per worker and refills
+// its slots in place). On success *t is fully overwritten; on error it
+// is left untouched. A valid spec allocates nothing.
+func (t *Template) Reset(spec Spec) error {
 	proc := tech.Siemens024()
 	if spec.Process != nil {
 		proc = *spec.Process
 	}
 	if spec.CapacityMbit <= 0 {
-		return nil, fmt.Errorf("edram: capacity must be positive, got %d Mbit", spec.CapacityMbit)
+		return fmt.Errorf("edram: capacity must be positive, got %d Mbit", spec.CapacityMbit)
 	}
 	if spec.CapacityMbit > ConceptMaxCapacityMbit {
-		return nil, fmt.Errorf("edram: capacity %d Mbit exceeds the concept's %d Mbit ceiling",
+		return fmt.Errorf("edram: capacity %d Mbit exceeds the concept's %d Mbit ceiling",
 			spec.CapacityMbit, ConceptMaxCapacityMbit)
 	}
 
@@ -235,11 +248,11 @@ func NewTemplate(spec Spec) (*Template, error) {
 		}
 	}
 	if blockBits != geom.Block256K && blockBits != geom.Block1M {
-		return nil, fmt.Errorf("edram: block size %d bits not offered (256 Kbit or 1 Mbit)", blockBits)
+		return fmt.Errorf("edram: block size %d bits not offered (256 Kbit or 1 Mbit)", blockBits)
 	}
 	capBits := spec.CapacityMbit * units.Mbit
 	if capBits%blockBits != 0 {
-		return nil, fmt.Errorf("edram: capacity %d Mbit is not a multiple of the %s building block",
+		return fmt.Errorf("edram: capacity %d Mbit is not a multiple of the %s building block",
 			spec.CapacityMbit, units.FormatMbit(units.BitsToMbit(int64(blockBits))))
 	}
 	blocks := capBits / blockBits
@@ -255,7 +268,7 @@ func NewTemplate(spec Spec) (*Template, error) {
 		}
 	}
 	if banks < 1 || blocks%banks != 0 {
-		return nil, fmt.Errorf("edram: %d banks do not divide %d blocks", banks, blocks)
+		return fmt.Errorf("edram: %d banks do not divide %d blocks", banks, blocks)
 	}
 
 	g := geom.MacroGeometry{
@@ -270,7 +283,7 @@ func NewTemplate(spec Spec) (*Template, error) {
 	g.ECCOverheadFrac = spec.ECC.StorageOverhead(spec.InterfaceBits)
 
 	if err := g.ValidateSansPage(); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Timing follows the physical building block (wordline and bitline
@@ -278,7 +291,7 @@ func NewTemplate(spec Spec) (*Template, error) {
 	org := timing.Organization{PageBits: g.BlockColumns(), RowsPerBank: g.BlockRows()}
 	tm, err := timing.ArrayTiming(tech.PC100(), org)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	clock := timing.MaxClockMHz(tm)
 	if spec.TargetClockMHz > 0 && spec.TargetClockMHz < clock {
@@ -294,15 +307,16 @@ func NewTemplate(spec Spec) (*Template, error) {
 	ga.PageBits = g.InterfaceBits
 	area, err := ga.Area()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Template{
+	*t = Template{
 		spec:   spec,
 		geo:    g,
 		area:   area,
 		timing: tm,
 		clock:  clock,
-	}, nil
+	}
+	return nil
 }
 
 // TotalAreaMm2 is the macro area of every instantiation of this

@@ -2,12 +2,14 @@ package edram
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"edram/internal/geom"
 	"edram/internal/power"
+	"edram/internal/reliab"
 	"edram/internal/tech"
 )
 
@@ -269,5 +271,84 @@ func TestConceptEnvelope(t *testing.T) {
 			t.Errorf("%d Mbit: area %.1f not larger than previous capacity's %.1f", mbit, rowArea, prevArea)
 		}
 		prevArea = rowArea
+	}
+}
+
+// templateSpecs covers every field a Template reads: defaults, both
+// building blocks, explicit banks, redundancy, ECC, a non-default
+// process, a clock cap and BIST omitted.
+func templateSpecs() []Spec {
+	logic := tech.Logic024()
+	return []Spec{
+		{CapacityMbit: 16, InterfaceBits: 256},
+		{CapacityMbit: 1, InterfaceBits: 16},
+		{CapacityMbit: 13, InterfaceBits: 64, PageBits: 512},
+		{CapacityMbit: 32, InterfaceBits: 128, Banks: 8, BlockBits: geom.Block256K, Redundancy: RedundancyHigh},
+		{CapacityMbit: 8, InterfaceBits: 512, Banks: 2, ECC: reliab.ECCSECDED, Redundancy: RedundancyLow},
+		{CapacityMbit: 64, InterfaceBits: 32, Process: &logic, TargetClockMHz: 90, SkipBIST: true},
+	}
+}
+
+// templateRejects are specs NewTemplate refuses (the page-length rules
+// are Instantiate's, so none of these is a page error).
+var templateRejects = []Spec{
+	{InterfaceBits: 64},
+	{CapacityMbit: 512, InterfaceBits: 64},
+	{CapacityMbit: 16, InterfaceBits: 64, BlockBits: 12345},
+	{CapacityMbit: 16, InterfaceBits: 64, Banks: 5},
+	{CapacityMbit: 16, InterfaceBits: 1024},
+	{CapacityMbit: 16, InterfaceBits: 8},
+}
+
+// TestTemplateResetMatchesNewTemplate pins Reset to NewTemplate: the
+// same Template for a valid spec, the same error text for a failing
+// one, and a Template that failed a Reset (or held another spec) resets
+// to exactly a fresh one.
+func TestTemplateResetMatchesNewTemplate(t *testing.T) {
+	var reused Template
+	for _, spec := range templateSpecs() {
+		want, err := NewTemplate(spec)
+		if err != nil {
+			t.Fatalf("NewTemplate(%+v): %v", spec, err)
+		}
+		var got Template
+		if err := got.Reset(spec); err != nil {
+			t.Fatalf("Reset(%+v): %v", spec, err)
+		}
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("Reset(%+v) = %+v, NewTemplate gives %+v", spec, got, *want)
+		}
+		for _, bad := range templateRejects {
+			if reused.Reset(bad) == nil {
+				t.Fatalf("Reset(%+v) should fail", bad)
+			}
+		}
+		if err := reused.Reset(spec); err != nil || !reflect.DeepEqual(&reused, want) {
+			t.Fatalf("Reset(%+v) after failed Resets = %+v, %v; want %+v", spec, reused, err, *want)
+		}
+	}
+	for _, bad := range templateRejects {
+		_, want := NewTemplate(bad)
+		var tmpl Template
+		got := tmpl.Reset(bad)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Fatalf("%+v: Reset error %v, NewTemplate error %v", bad, got, want)
+		}
+	}
+}
+
+// TestTemplateResetAllocatesNothing: the sweep refills its templates in
+// place, so a Reset to a valid spec must not touch the heap.
+func TestTemplateResetAllocatesNothing(t *testing.T) {
+	specs := templateSpecs()
+	var tmpl Template
+	for _, spec := range specs {
+		if allocs := testing.AllocsPerRun(50, func() {
+			if err := tmpl.Reset(spec); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("Reset(%+v): %.1f allocations, want 0", spec, allocs)
+		}
 	}
 }

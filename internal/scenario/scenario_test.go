@@ -306,3 +306,19 @@ func containsSubstring(list []string, sub string) bool {
 	}
 	return false
 }
+
+// FuzzScenarioParse drives the scenario loader with arbitrary bytes: it
+// never panics, and for any document it accepts Compile refuses it
+// exactly when Violations lists something.
+func FuzzScenarioParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		s, err := Parse(doc)
+		if err != nil {
+			return
+		}
+		v := s.Violations(0)
+		if _, err := s.Compile(); (err != nil) != (len(v) > 0) {
+			t.Fatalf("Compile error %v with violations %q", err, v)
+		}
+	})
+}
