@@ -88,9 +88,9 @@ bench-compare: bench
 # and canonical key (internal/service/testdata/fuzz), of the ckpt/v1
 # record loader (internal/jobs/testdata/fuzz), of the scenario loader
 # (FuzzScenarioParse, internal/scenario/testdata/fuzz) and of the disk
-# cache's record decoder (FuzzParseRecord,
-# internal/diskcache/testdata/fuzz), which is cheap enough to sit on
-# the tier-1 path.
+# cache's record decoder and whole-segment replay (FuzzParseRecord and
+# FuzzReplay, internal/diskcache/testdata/fuzz), which is cheap enough
+# to sit on the tier-1 path.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzArrayReadWrite -fuzztime $(FUZZTIME) ./internal/dram/

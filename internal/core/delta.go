@@ -22,8 +22,9 @@ import (
 
 // deltaGapTolerance bounds missing-interval fragmentation: gaps of
 // already-covered points up to this long are re-swept rather than
-// spinning one explore engine per fragment (covered duplicates are
-// dropped on arrival, so over-sweeping is a pure time trade).
+// spinning one explore engine per fragment (a re-swept covered point
+// writes back the record it already had, so over-sweeping is a pure
+// time trade).
 const deltaGapTolerance = 1024
 
 // DeltaState retains what a completed explore learned about one
@@ -38,9 +39,68 @@ type DeltaState struct {
 	req      Requirements
 	key      string
 	space    *space
-	evals    []pointEval // sorted by seq once sealed
-	coverage []seqRange  // sorted, disjoint
+	records  evalStore
+	coverage []seqRange // sorted, disjoint
 	sealed   bool
+}
+
+// evalStore holds a state's evaluation records densely, indexed by Seq.
+// A macro's area, die cost, sustained bandwidth and clock do not depend
+// on its page length (edram.Template), so they are stored once per
+// projection (space.proj); power is stored per Seq, and a bit per Seq
+// says whether the point was built. Sweeps write records in place, so
+// the store needs no sorting, and rewriting a point writes the
+// identical record. The store says nothing about which Seqs were
+// swept: the state's coverage does, and every read stays inside it.
+type evalStore struct {
+	space *space
+	proj  []projEval
+	power []float64
+	built []uint64
+}
+
+// projEval is the page-independent part of an evaluation record.
+type projEval struct {
+	area, cost, sustained, clock float64
+}
+
+// newEvalStore returns an empty store for every Seq of sp.
+func newEvalStore(sp *space) evalStore {
+	return evalStore{
+		space: sp,
+		proj:  make([]projEval, sp.total/sp.radix[digitPage]),
+		power: make([]float64, sp.total),
+		built: make([]uint64, (sp.total+63)/64),
+	}
+}
+
+// put stores one built point's record.
+func (st *evalStore) put(ev *pointEval) {
+	st.proj[st.space.proj(ev.seq)] = projEval{ev.area, ev.cost, ev.sustained, ev.clock}
+	st.power[ev.seq] = ev.power
+	st.built[ev.seq/64] |= 1 << (ev.seq % 64)
+}
+
+// has reports whether a record was stored for seq.
+func (st *evalStore) has(seq int) bool { return st.built[seq/64]&(1<<(seq%64)) != 0 }
+
+// at is the stored record of a built seq.
+func (st *evalStore) at(seq int) pointEval {
+	p := &st.proj[st.space.proj(seq)]
+	return pointEval{seq, p.area, st.power[seq], p.cost, p.sustained, p.clock}
+}
+
+// count is the number of stored records inside rs.
+func (st *evalStore) count(rs []seqRange) int64 {
+	var n int64
+	for _, r := range rs {
+		for seq := r.From; seq < r.To; seq++ {
+			if st.has(seq) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // NewDeltaState prepares recording for one full pruned explore of req:
@@ -52,10 +112,12 @@ func NewDeltaState(req Requirements) (*DeltaState, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
+	sp := newSpace(req, resolveProcesses(req))
 	return &DeltaState{
-		req:   req,
-		key:   req.StructuralKey(),
-		space: newSpace(req, resolveProcesses(req)),
+		req:     req,
+		key:     req.StructuralKey(),
+		space:   sp,
+		records: newEvalStore(sp),
 	}, nil
 }
 
@@ -73,16 +135,15 @@ func (s *DeltaState) Eligible(newReq Requirements) bool {
 }
 
 // Record is the whole recording of a fresh state: it runs the pruned
-// full sweep of the state's requirements under opts, keeps every built
-// evaluation record straight from the fold, and seals the state once
-// the sweep completed. It returns the sweep's fold, as SweepContext
-// would with WithPruning.
+// full sweep of the state's requirements under opts, with the fold
+// writing every built evaluation record straight into the state's
+// store, and seals the state once the sweep completed. It returns the
+// sweep's fold, as SweepContext would with WithPruning.
 func (s *DeltaState) Record(ctx context.Context, opts ...ExploreOption) (SweepResult, error) {
-	res, evals, err := sweepRecorded(ctx, s.req, append(opts[:len(opts):len(opts)], WithPruning())...)
+	res, err := sweepRecorded(ctx, s.req, &s.records, append(opts[:len(opts):len(opts)], WithPruning())...)
 	if err != nil {
 		return SweepResult{}, err
 	}
-	s.evals = evals
 	s.Seal()
 	return res, nil
 }
@@ -91,31 +152,24 @@ func (s *DeltaState) Record(ctx context.Context, opts ...ExploreOption) (SweepRe
 // It must see every built candidate of a pruned full sweep of the
 // state's requirements, in any order, before Seal.
 func (s *DeltaState) Observe(c Candidate) {
-	s.evals = append(s.evals, pointEval{c.Seq, c.AreaMm2, c.PowerMW, c.CostUSD, c.SustainedGBps, c.Macro.ClockMHz})
+	s.records.put(&pointEval{c.Seq, c.AreaMm2, c.PowerMW, c.CostUSD, c.SustainedGBps, c.Macro.ClockMHz})
 }
 
 // Seal marks the recording complete: the state now covers the
 // enumerated intervals of a pruned full sweep of its requirements.
-// Call it only after the explore ran to completion.
+// Call it only after the explore ran to completion. Records observed
+// outside those intervals (a recording fed from an unpruned run) stay
+// in the store unread: every read stays inside the coverage, which is
+// what keeps a later re-sweep of a missing interval from counting a
+// point twice.
 func (s *DeltaState) Seal() {
 	s.coverage = newPrunePlan(s.req, s.space).enumerated(0, s.space.total)
-	sort.Slice(s.evals, func(i, j int) bool { return s.evals[i].seq < s.evals[j].seq })
-	// Drop evaluations outside the coverage intervals (a recording fed
-	// from an unpruned run observes points inside skipped subspaces):
-	// evals ⊆ coverage is the invariant that keeps a later re-sweep of
-	// a missing interval from double-counting.
-	keep := s.evals[:0]
-	for _, ev := range s.evals {
-		if rangesContain(s.coverage, ev.seq) {
-			keep = append(keep, ev)
-		}
-	}
-	s.evals = keep
 	s.sealed = true
 }
 
-// Evals returns the number of retained point evaluations.
-func (s *DeltaState) Evals() int { return len(s.evals) }
+// Evals returns the number of retained point evaluations: the built
+// points inside the coverage.
+func (s *DeltaState) Evals() int { return int(s.records.count(s.coverage)) }
 
 // DeltaResult is the outcome of a delta re-exploration: the fold of a
 // cold pruned sweep of the new requirements, byte-identical to it with
@@ -132,14 +186,17 @@ type DeltaResult struct {
 // classifies the constraint changes implicitly through the new prune
 // plan (tightened constraints shrink the enumerated region — pure
 // re-filtering; loosened ones expose intervals the prior runs never
-// evaluated, which are swept fresh and folded into the state), then
+// evaluated, which are swept fresh into the state's store), then
 // re-scores every retained evaluation under the new constraint values
 // and rebuilds the Pareto front from scratch. The frontier, counters
 // and closest miss are byte-identical to a cold full pruned sweep of
 // newReq.
 //
 // The state is mutated (coverage and evaluations grow monotonically);
-// callers serialize access per state.
+// callers serialize access per state. A call that fails leaves the
+// state's answers unchanged: a cancelled gap sweep may already have
+// written records, but only identical ones or ones outside the
+// coverage, which nothing reads until a later sweep rewrites them.
 func DeltaExplore(ctx context.Context, s *DeltaState, newReq Requirements, workers int) (*DeltaResult, error) {
 	if err := newReq.Validate(); err != nil {
 		return nil, err
@@ -153,34 +210,19 @@ func DeltaExplore(ctx context.Context, s *DeltaState, newReq Requirements, worke
 
 	newPlan := newPrunePlan(newReq, s.space)
 	needed := newPlan.enumerated(0, s.space.total)
-	missing := coalesceRanges(subtractRanges(needed, s.coverage), deltaGapTolerance)
+	exposed := subtractRanges(needed, s.coverage)
+	missing := coalesceRanges(exposed, deltaGapTolerance)
 
-	// Sweep the intervals no prior run covered. The sweep runs under
-	// newReq, but the recorded metrics depend only on the (shared)
-	// structural fields, so the evaluations join the retained ones
-	// seamlessly. Already-covered points inside a coalesced gap are
-	// dropped.
-	var swept, freshBuilt int64
-	var fresh []pointEval
+	// Sweep the intervals no prior run covered, straight into the
+	// store. The sweep runs under newReq, but the recorded metrics
+	// depend only on the (shared) structural fields, so the records
+	// are the ones a sweep of the state's own requirements writes.
+	var swept int64
 	for _, r := range missing {
 		swept += int64(r.To - r.From)
-		_, evals, err := sweepRecorded(ctx, newReq, WithWorkers(workers), WithSeqRange(r.From, r.To))
-		if err != nil {
-			return nil, err // incomplete sweep: leave the state untouched
+		if _, err := sweepRecorded(ctx, newReq, &s.records, WithWorkers(workers), WithSeqRange(r.From, r.To)); err != nil {
+			return nil, err // incomplete sweep: the coverage is unchanged
 		}
-		for _, ev := range evals {
-			if rangesContain(s.coverage, ev.seq) {
-				continue
-			}
-			if rangesContain(needed, ev.seq) {
-				freshBuilt++
-			}
-			fresh = append(fresh, ev)
-		}
-	}
-	if len(fresh) > 0 {
-		s.evals = append(s.evals, fresh...)
-		sort.Slice(s.evals, func(i, j int) bool { return s.evals[i].seq < s.evals[j].seq })
 	}
 	if len(missing) > 0 {
 		s.coverage = unionRanges(s.coverage, missing)
@@ -192,39 +234,18 @@ func DeltaExplore(ctx context.Context, s *DeltaState, newReq Requirements, worke
 	// counters, front and closest miss are the cold run's.
 	skipped, skippedBuildable := newPlan.tally(0, s.space.total)
 	f := fold{enumerated: int64(s.space.total) - skipped}
-	ri := 0
-	for i := range s.evals {
-		ev := &s.evals[i]
-		for ri < len(needed) && needed[ri].To <= ev.seq {
-			ri++
+	for _, r := range needed {
+		for seq := r.From; seq < r.To; seq++ {
+			if s.records.has(seq) {
+				ev := s.records.at(seq)
+				f.add(&ev, violations(&ev, &newReq))
+			}
 		}
-		if ri >= len(needed) || ev.seq < needed[ri].From {
-			continue // outside the new plan's enumerated region
-		}
-		f.add(ev, violations(ev, &newReq))
 	}
 	// The result materializes a few dozen candidates, spread over the
 	// whole space; candidate builds each one's template afresh.
 	res := f.result(skipped, skippedBuildable, newEvalMemo(newReq, s.space))
-	return &DeltaResult{SweepResult: res, Swept: swept, Reused: f.built - freshBuilt}, nil
-}
-
-// rangesContain reports whether a sorted disjoint range list contains
-// seq.
-func rangesContain(rs []seqRange, seq int) bool {
-	lo, hi := 0, len(rs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case rs[mid].To <= seq:
-			lo = mid + 1
-		case rs[mid].From > seq:
-			hi = mid
-		default:
-			return true
-		}
-	}
-	return false
+	return &DeltaResult{SweepResult: res, Swept: swept, Reused: f.built - s.records.count(exposed)}, nil
 }
 
 // subtractRanges returns a \ b for sorted disjoint range lists.

@@ -217,6 +217,15 @@ func getBatch(n int) *batch {
 // splits one.
 func (s *space) blockSpan() int { return s.stride[digitPage] * s.radix[digitPage] }
 
+// proj is the projection of a Seq: the Seq with its page digit
+// removed, in [0, total/radix[page]). The page variants of a point
+// share it, and with it every page-independent sub-result — the
+// worker's memo slot (memo.go) and a DeltaState's stored floats.
+func (s *space) proj(seq int) int {
+	st := s.stride[digitPage]
+	return seq/s.blockSpan()*st + seq%st
+}
+
 // sweepRanges streams the points of the sorted, disjoint Seq ranges in
 // order, one batch per above-page block, so every page variant of a
 // projection reaches the same worker in one batch (batching also
@@ -504,14 +513,14 @@ func (f *fold) result(skipped, skippedBuildable int64, mm *evalMemo) SweepResult
 
 // sweep is one validated explore: its options, its Seq layout, the
 // prune plan of the requested window [from, to) and the window's memo.
-// With evals non-nil, the fold also keeps every built record there.
+// With sink non-nil, the fold also writes every built record there.
 type sweep struct {
 	cfg      exploreConfig
 	space    *space
 	plan     *prunePlan
 	memo     *evalMemo
 	from, to int
-	evals    []pointEval
+	sink     *evalStore
 }
 
 // newSweep applies the options and validates them with the
@@ -542,17 +551,16 @@ func newSweep(req Requirements, opts []ExploreOption) (*sweep, error) {
 	return &sweep{cfg: cfg, space: sp, plan: plan, memo: newEvalMemo(req, sp), from: from, to: to}, nil
 }
 
-// sweepRecorded is SweepContext keeping every built evaluation record
-// too, in a buffer sized to the points the prune plan enumerates.
-func sweepRecorded(ctx context.Context, req Requirements, opts ...ExploreOption) (SweepResult, []pointEval, error) {
+// sweepRecorded is SweepContext writing every built evaluation record
+// into sink as well, in place at its Seq. A cancelled sweep leaves the
+// records it had already folded there.
+func sweepRecorded(ctx context.Context, req Requirements, sink *evalStore, opts ...ExploreOption) (SweepResult, error) {
 	s, err := newSweep(req, opts)
 	if err != nil {
-		return SweepResult{}, nil, err
+		return SweepResult{}, err
 	}
-	skipped, _ := s.plan.tally(s.from, s.to)
-	s.evals = make([]pointEval, 0, max(0, s.to-s.from-int(skipped)))
-	res, err := s.run(ctx)
-	return res, s.evals, err
+	s.sink = sink
+	return s.run(ctx)
 }
 
 // SweepContext enumerates and evaluates the design space on a worker
@@ -649,8 +657,8 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 				continue
 			}
 			f.add(&o.ev, o.viol)
-			if s.evals != nil {
-				s.evals = append(s.evals, o.ev)
+			if s.sink != nil {
+				s.sink.put(&o.ev)
 			}
 			if observed {
 				cfg.observer(b.cands[i])

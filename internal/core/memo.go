@@ -27,9 +27,9 @@ import (
 // results. Both depend only on the point's digits other than the page
 // — the die cost reads the template's (page-independent) area, the
 // macro count (the org digit) and the explore's fixed defect density.
-// proj is the projection the slot was last filled for: the Seq with
-// its page digit removed, -1 before the first fill. ok false marks
-// that projection unbuildable.
+// proj is the projection the slot was last filled for (space.proj: the
+// Seq with its page digit removed), -1 before the first fill. ok false
+// marks that projection unbuildable.
 type memoSlot struct {
 	proj       int
 	ok         bool
@@ -81,9 +81,8 @@ func (mm *evalMemo) table() []memoSlot {
 // of its own, through scoreCandidate, so the observer's candidates are
 // built on the workers.
 func (mm *evalMemo) evaluate(o *outcome, cand *Candidate, pt *Point, slots []memoSlot, scratch *edram.Macro) {
-	st := mm.space.stride[digitPage]
 	sl := &slots[pt.Seq%len(slots)]
-	if proj := pt.Seq/mm.space.blockSpan()*st + pt.Seq%st; sl.proj != proj {
+	if proj := mm.space.proj(pt.Seq); sl.proj != proj {
 		err := sl.tmpl.Reset(pt.Spec)
 		if err == nil {
 			sl.dieCostUSD, sl.dieYield, err = cost.MacroDieCost(sl.tmpl.Process(), 0,

@@ -133,8 +133,11 @@ type Cache struct {
 
 	// The segment file is owned by the writer goroutine while it runs,
 	// and by Open/Close outside that window. All nil when memory-only.
+	// frame is the writer's one record buffer, reused for every append
+	// and compaction.
 	f        *os.File
 	logBytes int64
+	frame    []byte
 
 	writeq   chan entry
 	compactq chan chan error
@@ -400,7 +403,7 @@ func (c *Cache) writer(done <-chan struct{}) {
 	for {
 		select {
 		case e := <-c.writeq:
-			c.appendRecord(e)
+			c.write(e)
 			c.maybeCompact()
 		case ch := <-c.compactq:
 			ch <- c.compact()
@@ -408,7 +411,7 @@ func (c *Cache) writer(done <-chan struct{}) {
 			for {
 				select {
 				case e := <-c.writeq:
-					c.appendRecord(e)
+					c.write(e)
 				default:
 					return
 				}
@@ -417,15 +420,16 @@ func (c *Cache) writer(done <-chan struct{}) {
 	}
 }
 
-// appendRecord writes one framed record to the segment. Failures are
-// counted, not fatal: the entry still serves from memory.
-func (c *Cache) appendRecord(e entry) {
-	buf := encodeRecord(e.key, e.val)
-	if _, err := c.f.Write(buf); err != nil {
+// write appends one framed record to the segment, framed in the
+// writer's reused buffer. Failures are counted, not fatal: the entry
+// still serves from memory.
+func (c *Cache) write(e entry) {
+	c.frame = appendRecord(c.frame[:0], e.key, e.val)
+	if _, err := c.f.Write(c.frame); err != nil {
 		c.writeErrors.Add(1)
 		return
 	}
-	c.logBytes += int64(len(buf))
+	c.logBytes += int64(len(c.frame))
 }
 
 // maybeCompact rewrites the segment when the log has grown past twice
@@ -473,9 +477,10 @@ func (c *Cache) compact() error {
 		written += int64(n)
 		return err
 	}
-	if err := write(header); err == nil {
+	if err = write(header); err == nil {
 		for _, e := range snap {
-			if err = write(encodeRecord(e.key, e.val)); err != nil {
+			c.frame = appendRecord(c.frame[:0], e.key, e.val)
+			if err = write(c.frame); err != nil {
 				break
 			}
 		}
@@ -546,18 +551,22 @@ func parseHeader(data []byte, gen string) (int, bool) {
 	return off, true
 }
 
-// encodeRecord frames one (key, value) record with its CRC.
+// appendRecord appends the framing of one (key, value) record, CRC
+// included, to dst and returns the extended slice. The CRC runs over
+// the key and value bytes just appended, so framing allocates nothing
+// once dst has room.
+func appendRecord(dst []byte, key string, val []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(val)))
+	body := len(dst)
+	dst = append(dst, key...)
+	dst = append(dst, val...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Update(0, crc32.IEEETable, dst[body:]))
+}
+
+// encodeRecord frames one (key, value) record into a fresh buffer.
 func encodeRecord(key string, val []byte) []byte {
-	buf := make([]byte, 0, recordOverhead+len(key)+len(val))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
-	buf = append(buf, key...)
-	buf = append(buf, val...)
-	crc := crc32.NewIEEE()
-	crc.Write([]byte(key))
-	crc.Write(val)
-	buf = binary.LittleEndian.AppendUint32(buf, crc.Sum32())
-	return buf
+	return appendRecord(make([]byte, 0, recordOverhead+len(key)+len(val)), key, val)
 }
 
 // parseRecord decodes the record at off, verifying lengths and CRC.
@@ -575,14 +584,10 @@ func parseRecord(data []byte, off int) (key string, val []byte, next int, ok boo
 	if off+keyLen+valLen+4 > len(data) {
 		return "", nil, 0, false
 	}
-	k := data[off : off+keyLen]
-	v := data[off+keyLen : off+keyLen+valLen]
+	body := data[off : off+keyLen+valLen]
 	sum := binary.LittleEndian.Uint32(data[off+keyLen+valLen:])
-	crc := crc32.NewIEEE()
-	crc.Write(k)
-	crc.Write(v)
-	if crc.Sum32() != sum {
+	if crc32.Update(0, crc32.IEEETable, body) != sum {
 		return "", nil, 0, false
 	}
-	return string(k), append([]byte(nil), v...), off + keyLen + valLen + 4, true
+	return string(body[:keyLen]), append([]byte(nil), body[keyLen:]...), off + keyLen + valLen + 4, true
 }

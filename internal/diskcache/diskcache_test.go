@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -390,4 +391,215 @@ func FuzzParseRecord(f *testing.F) {
 			t.Fatalf("encodeRecord(%q, %x) at %d parsed back as %q/%x, next %d, ok %v", k, v, o, gotKey, gotVal, next, ok)
 		}
 	})
+}
+
+// TestFramingAllocs pins the framing's allocations: appending a record
+// into a buffer with room allocates nothing (the writer reuses one
+// frame for every append), and decoding one allocates only the key
+// string and the value copy the index keeps.
+func TestFramingAllocs(t *testing.T) {
+	key, val := "explore|v3|req/v2|cap=16", bytes.Repeat([]byte("x"), 4096)
+	frame := appendRecord(nil, key, val)
+	if n := testing.AllocsPerRun(100, func() { frame = appendRecord(frame[:0], key, val) }); n != 0 {
+		t.Fatalf("appendRecord into a reused frame: %.0f allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, _, ok := parseRecord(frame, 0); !ok {
+			t.Fatal("parseRecord rejected its own framing")
+		}
+	}); n != 2 {
+		t.Fatalf("parseRecord: %.0f allocations, want 2 (key and value)", n)
+	}
+}
+
+// replayed walks a segment the way Open's replay does and returns the
+// live set it should rebuild (later records win) and the length of the
+// valid prefix; ok false means the header is unreadable. Every
+// accepted record must re-frame to the exact bytes it was read from.
+func replayed(t *testing.T, data []byte) (live map[string][]byte, valid int, ok bool) {
+	t.Helper()
+	valid, ok = parseHeader(data, gen)
+	if !ok {
+		return nil, 0, false
+	}
+	live = map[string][]byte{}
+	for valid < len(data) {
+		key, val, next, ok := parseRecord(data, valid)
+		if !ok {
+			break
+		}
+		if framed := appendRecord(nil, key, val); !bytes.Equal(framed, data[valid:next]) {
+			t.Fatalf("record %q at %d re-frames to %x, read from %x", key, valid, framed, data[valid:next])
+		}
+		live[key] = val
+		valid = next
+	}
+	return live, valid, true
+}
+
+// openSegment writes data as a segment, opens a cache on it and checks
+// what Open kept: exactly the live set of want, and a segment file cut
+// back to size bytes. The caller closes the cache.
+func openSegment(t *testing.T, data []byte, want map[string][]byte, size int) *Cache {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := open(t, dir, Options{MaxEntries: 1 << 20})
+	if n := c.Len(); n != len(want) {
+		c.Close()
+		t.Fatalf("replayed %d entries, want %d", n, len(want))
+	}
+	for key, val := range want {
+		if got, ok := c.Get(key); !ok || !bytes.Equal(got, val) {
+			c.Close()
+			t.Fatalf("Get(%q) = %x, %v; want %x", key, got, ok, val)
+		}
+	}
+	fi, err := os.Stat(filepath.Join(dir, logName))
+	if err != nil || fi.Size() != int64(size) {
+		c.Close()
+		t.Fatalf("segment after Open: %v, err %v; want %d bytes", fi, err, size)
+	}
+	return c
+}
+
+// FuzzReplay drives Open with whole segment files. Arbitrary bytes
+// never make it panic or fail: it replays exactly the CRC-verified
+// records before the first damaged one, each of which re-frames to the
+// bytes it was read from, and cuts the file back to them (a segment
+// with an unreadable header is replaced by a fresh header). Then a
+// valid segment built from the input is cut at an arbitrary offset:
+// Open keeps exactly the records that end before the cut and drops
+// only the damaged suffix.
+func FuzzReplay(f *testing.F) {
+	header, err := encodeHeader(gen)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cut uint) {
+		live, valid, ok := replayed(t, data)
+		if !ok {
+			valid = len(header)
+		}
+		c := openSegment(t, data, live, valid)
+		st := c.Stats()
+		c.Close()
+		if ok && st.DroppedRecords != boolInt(valid < len(data)) {
+			t.Fatalf("%d damaged suffixes dropped from %d valid of %d bytes", st.DroppedRecords, valid, len(data))
+		}
+		if !ok && st.Invalidations != boolInt(len(data) > 0) {
+			t.Fatalf("%d invalidations of a %d-byte segment with no valid header", st.Invalidations, len(data))
+		}
+
+		// A valid segment: the input in 16-byte values under numbered
+		// keys, cut at an arbitrary offset.
+		seg := append([]byte(nil), header...)
+		ends := []int{len(seg)}
+		for i := 0; i*16 < len(data); i++ {
+			seg = appendRecord(seg, fmt.Sprintf("k%d", i), data[i*16:min(len(data), (i+1)*16)])
+			ends = append(ends, len(seg))
+		}
+		n := int(cut % uint(len(seg)+1))
+		want, keep := map[string][]byte{}, 0
+		for i, end := range ends {
+			if end > n {
+				break
+			}
+			if i > 0 {
+				want[fmt.Sprintf("k%d", i-1)] = data[(i-1)*16 : min(len(data), i*16)]
+			}
+			keep = end
+		}
+		if n < len(header) {
+			keep = len(header) // no readable header: a fresh one replaces it
+		}
+		c = openSegment(t, seg[:n], want, keep)
+		st = c.Stats()
+		c.Close()
+		if n >= len(header) && st.DroppedRecords != boolInt(keep < n) {
+			t.Fatalf("cut at %d of %d: %d damaged suffixes dropped, want %d", n, len(seg), st.DroppedRecords, boolInt(keep < n))
+		}
+	})
+}
+
+func boolInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// benchValue is a response-sized value: an explore response encodes
+// to a few KiB.
+var benchValue = bytes.Repeat([]byte(`{"seq":1234,"area_mm2":12.5},`), 140)
+
+// BenchmarkCacheAppend measures a steady-state Put through the writer:
+// the index update, the queue hand-off and the framed append to the
+// segment, with the compactions the growing log triggers. Each Put
+// waits for the writer to take the previous one, so none is shed.
+func BenchmarkCacheAppend(b *testing.B) {
+	c, err := Open(b.TempDir(), Options{Generation: gen})
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("explore|req/v2|cap=16|bw=%d", i)
+		c.Put(keys[i], benchValue)
+	}
+	drained := func() {
+		for len(c.writeq) > 0 {
+			runtime.Gosched()
+		}
+	}
+	drained() // the writer has grown its frame on the first of these
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drained()
+		c.Put(keys[i%len(keys)], benchValue)
+	}
+	b.StopTimer()
+	if err := c.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if st := c.Stats(); st.DroppedWrites > 0 || st.WriteErrors > 0 {
+		b.Fatalf("%d appends shed, %d failed", st.DroppedWrites, st.WriteErrors)
+	}
+}
+
+// BenchmarkReplay measures Open on a ~0.6 MiB segment of
+// response-sized records: reading, CRC-checking and indexing every
+// record.
+func BenchmarkReplay(b *testing.B) {
+	dir := b.TempDir()
+	seg, err := encodeHeader(gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; len(seg) < 600<<10; i++ {
+		seg = appendRecord(seg, fmt.Sprintf("explore|req/v2|cap=16|bw=%d", i), benchValue)
+	}
+	if err := os.WriteFile(filepath.Join(dir, logName), seg, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(seg)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := Open(dir, Options{Generation: gen})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if st := c.Stats(); st.DroppedRecords > 0 {
+			b.Fatalf("replay dropped a record of its own segment")
+		}
+		if err := c.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 }

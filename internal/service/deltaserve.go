@@ -16,9 +16,11 @@ import (
 	"edram/internal/core"
 )
 
-// maxDeltaStates bounds the retained-state index. Each state holds one
-// evaluation record (~48 B) per built sweep point, so the bound is a
-// memory cap, not a hit-rate tuning knob.
+// maxDeltaStates bounds the retained-state index. Each state holds a
+// dense store over its whole design space: power and a built bit per
+// point plus 32 B per page-independent projection, about 19 B per
+// point (43 KiB for a one-process 16-Mbit space of 2304 points), so
+// the bound is a memory cap, not a hit-rate tuning knob.
 const maxDeltaStates = 8
 
 // deltaEntry wraps one retained state with the mutex that serializes
