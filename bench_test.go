@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"edram/internal/dram"
 	"edram/internal/edram"
 	"edram/internal/experiments"
+	"edram/internal/service"
 	"edram/internal/tech"
 )
 
@@ -378,4 +380,83 @@ func BenchmarkServiceExplore(b *testing.B) {
 			})
 		}
 	}
+}
+
+// simulateMix is a fixed, seeded mix of /v1/simulate requests in the
+// shape of perfbench's controller-sim workload: every policy on two
+// macros, open and closed page, reorder windows 0 to 8, and 2 to 4
+// clients of every stream kind, reads beside writes.
+func simulateMix() []service.SimulateRequest {
+	rng := rand.New(rand.NewSource(1))
+	specs := []edram.Spec{
+		{CapacityMbit: 4, InterfaceBits: 16, Banks: 4},
+		{CapacityMbit: 16, InterfaceBits: 64, Banks: 4},
+	}
+	policies := []string{"round-robin", "fixed-priority", "oldest-first", "open-page-first", "deadline"}
+	kinds := []string{"sequential", "strided", "random", "alternating"}
+	var mix []service.SimulateRequest
+	for si, spec := range specs {
+		capB := int64(spec.CapacityMbit) << 17
+		for pi, policy := range policies {
+			req := service.SimulateRequest{Spec: spec, Options: service.SimulateOptions{
+				Policy:        policy,
+				ClosedPage:    (si+pi)%2 == 1,
+				ReorderWindow: []int{0, 2, 4, 8}[rng.Intn(4)],
+			}}
+			for i, n := 0, 2+rng.Intn(3); i < n; i++ {
+				c := service.ClientSpec{
+					Name:     fmt.Sprintf("c%d", i),
+					Kind:     kinds[rng.Intn(len(kinds))],
+					RateGBps: float64(5+rng.Intn(46)) / 100,
+					Count:    300 + rng.Intn(1200),
+					StartB:   rng.Int63n(capB/2) &^ 63,
+					StrideB:  int64(64) << rng.Intn(7),
+					LimitB:   capB,
+					Write:    rng.Intn(10) < 3,
+				}
+				if rng.Intn(4) == 0 {
+					c.Bits = 2 * spec.InterfaceBits
+				}
+				switch c.Kind {
+				case "random":
+					c.WindowB = int64(64<<10) << rng.Intn(4)
+					c.Seed = 1 + rng.Int63n(1<<30)
+				case "alternating":
+					c.LimitB, c.Write = 0, false
+				}
+				if policy == "deadline" {
+					c.LatencyBudgetNs = float64(200 + 100*rng.Intn(20))
+				}
+				req.Clients = append(req.Clients, c)
+			}
+			mix = append(mix, req)
+		}
+	}
+	return mix
+}
+
+// BenchmarkSimulate measures the controller layer as /v1/simulate runs
+// it: service.BuildSimulate (the event-driven controller) plus Encode,
+// once over each request of simulateMix per operation. served/op is
+// the number of requests the controller served.
+func BenchmarkSimulate(b *testing.B) {
+	mix := simulateMix()
+	served := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		served = 0
+		for _, req := range mix {
+			resp, err := service.BuildSimulate(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := service.Encode(resp); err != nil {
+				b.Fatal(err)
+			}
+			for _, c := range resp.Clients {
+				served += c.Requests
+			}
+		}
+	}
+	b.ReportMetric(float64(served), "served/op")
 }

@@ -43,9 +43,17 @@ type ClientSpec struct {
 	LatencyBudgetNs float64 `json:"latency_budget_ns,omitempty"`
 }
 
+// MaxBeats caps the data beats of one request: a request of Bits on
+// an interface of w bits takes ceil(Bits/w) beats, and the simulator
+// pays for every beat, so an uncapped width would let a one-request
+// client run for hours.
+const MaxBeats = 64
+
 // Violations lists every constraint the client spec violates
-// (maxRequests caps Count; 0 = uncapped).
-func (c ClientSpec) Violations(i int, maxRequests int64) []string {
+// (maxRequests caps Count; 0 = uncapped). interfaceBits is the width
+// of the macro the client runs on; requests wider than MaxBeats beats
+// of it are refused (0 skips the check, for a spec invalid anyway).
+func (c ClientSpec) Violations(i int, maxRequests int64, interfaceBits int) []string {
 	var v []string
 	at := func(format string, args ...any) {
 		v = append(v, fmt.Sprintf("client %d (%s): %s", i, c.Name, fmt.Sprintf(format, args...)))
@@ -68,6 +76,11 @@ func (c ClientSpec) Violations(i int, maxRequests int64) []string {
 	}
 	if c.Bits < 0 || c.StartB < 0 || c.StrideB < 0 || c.LimitB < 0 || c.WindowB < 0 {
 		at("geometry fields must be non-negative")
+	}
+	if c.Bits > 0 && interfaceBits > 0 {
+		if beats := (c.Bits-1)/interfaceBits + 1; beats > MaxBeats {
+			at("%d-bit requests take %d beats of the %d-bit interface, more than the limit %d", c.Bits, beats, interfaceBits, MaxBeats)
+		}
 	}
 	if c.LatencyBudgetNs < 0 {
 		at("latency budget must be non-negative, got %g ns", c.LatencyBudgetNs)

@@ -128,19 +128,24 @@ func (s *Scenario) requirementsFor(l Level) core.Requirements {
 	}
 }
 
+// interfaceBits is the level's interface width, DefaultInterfaceBits
+// when the document leaves it out.
+func (l Level) interfaceBits() int {
+	if l.InterfaceBits == 0 {
+		return DefaultInterfaceBits
+	}
+	return l.InterfaceBits
+}
+
 // specFor lowers one edram level into the concrete macro candidate the
 // document pins. Validation has already vetted redundancy/ecc names,
 // so the parses cannot fail here.
 func (l Level) specFor() edram.Spec {
 	red, _ := edram.ParseRedundancy(l.Redundancy)
 	ecc, _ := reliab.ParseECC(l.ECC)
-	iface := l.InterfaceBits
-	if iface == 0 {
-		iface = DefaultInterfaceBits
-	}
 	return edram.Spec{
 		CapacityMbit:   l.CapacityMbit,
-		InterfaceBits:  iface,
+		InterfaceBits:  l.interfaceBits(),
 		Banks:          l.Banks,
 		PageBits:       l.PageBits,
 		BlockBits:      l.BlockKbit * 1024,
@@ -181,11 +186,7 @@ func (s *Scenario) Compile() (*Compiled, error) {
 			if bits == 0 {
 				bits = int(int64(l.CapacityMbit) * units.Mbit)
 			}
-			data := l.InterfaceBits
-			if data == 0 {
-				data = DefaultInterfaceBits
-			}
-			cl.SRAM = &sram.Macro{Process: proc, Bits: bits, DataBits: data}
+			cl.SRAM = &sram.Macro{Process: proc, Bits: bits, DataBits: l.interfaceBits()}
 		}
 		for _, c := range s.Workload.Clients {
 			if c.Level == l.Name {

@@ -367,7 +367,12 @@ func (s *Scenario) workloadViolations(idx map[string]int, maxRequests int64) []s
 		levelNames = append(levelNames, l.Name)
 	}
 	for i, c := range s.Workload.Clients {
-		v = append(v, c.Violations(i, maxRequests)...)
+		li, ok := idx[c.Level]
+		iface := 0 // no level, no interface to bound the request width by
+		if c.Level != "" && ok {
+			iface = s.Hierarchy.Levels[li].interfaceBits()
+		}
+		v = append(v, c.Violations(i, maxRequests, iface)...)
 		total += int64(c.Count)
 		at := func(format string, args ...any) {
 			v = append(v, fmt.Sprintf("client %d (%s): %s", i, c.Name, fmt.Sprintf(format, args...)))
@@ -376,7 +381,6 @@ func (s *Scenario) workloadViolations(idx map[string]int, maxRequests int64) []s
 			at("level is required (one of: %s)", strings.Join(levelNames, ", "))
 			continue
 		}
-		li, ok := idx[c.Level]
 		if !ok {
 			at("targets unknown level %q", c.Level)
 			continue

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -321,4 +322,19 @@ func FuzzScenarioParse(f *testing.F) {
 			t.Fatalf("Compile error %v with violations %q", err, v)
 		}
 	})
+}
+
+func TestViolationsRequestWidth(t *testing.T) {
+	// store is 64 bits wide: MaxBeats beats is 4096 bits.
+	cases := []struct {
+		bits    int
+		refused bool
+	}{{64 * MaxBeats, false}, {64*MaxBeats + 1, true}, {1 << 40, true}}
+	for _, tc := range cases {
+		doc := strings.Replace(validDoc, `"count": 100`, fmt.Sprintf(`"count": 100, "bits": %d`, tc.bits), 1)
+		v := mustParse(t, doc).Violations(0)
+		if got := containsSubstring(v, "beats of the 64-bit interface"); got != tc.refused {
+			t.Errorf("%d-bit requests: refused=%t, want %t: %v", tc.bits, got, tc.refused, v)
+		}
+	}
 }

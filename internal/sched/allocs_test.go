@@ -1,15 +1,19 @@
 package sched
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"edram/internal/traffic"
 )
 
 // The arbitration helpers run once (or once per client) per served
-// request; RunWithOptions preallocates st.lats and reuses one candidate
-// scratch slice across picks precisely so these paths stay
-// allocation-free. The guards pin that at zero.
+// request; they read the client's ring by absolute request index and
+// RunWithOptions reuses one candidate scratch slice across picks
+// precisely so these paths stay allocation-free. The guards pin that
+// at zero.
 
 var (
 	sinkIdx  int
@@ -17,12 +21,12 @@ var (
 	sinkInts []int
 )
 
+// testState is a client whose ring holds n requests, three quarters
+// of them arrived. The queue starts at request n/2 so indices wrap
+// round the ring.
 func testState(n int) clientState {
-	st := clientState{
-		reqs: make([]traffic.Request, n),
-		done: make([]bool, n),
-	}
-	st.arrived = n * 3 / 4
+	st := clientState{ring: make([]queued, n), next: n / 2}
+	st.arrived = st.next + n*3/4
 	return st
 }
 
@@ -40,8 +44,8 @@ func TestHeadNoAllocs(t *testing.T) {
 
 func TestAppendCandidatesReusedScratchNoAllocs(t *testing.T) {
 	st := testState(64)
-	for i := 0; i < len(st.done); i += 3 { // holes make the scan walk
-		st.done[i] = true
+	for i := st.next + 1; i < st.arrived; i += 3 { // holes make the scan walk
+		st.at(i).done = true
 	}
 	scratch := make([]int, 0, 8)
 	if n := testing.AllocsPerRun(1000, func() {
@@ -57,8 +61,8 @@ func TestAppendCandidatesReusedScratchNoAllocs(t *testing.T) {
 
 func TestMarkServedNoAllocs(t *testing.T) {
 	st := testState(4096)
-	st.arrived = len(st.reqs)
-	idx := 0
+	st.arrived = st.next + len(st.ring)
+	idx := st.next
 	if n := testing.AllocsPerRun(1000, func() {
 		st.markServed(idx)
 		idx++
@@ -67,5 +71,42 @@ func TestMarkServedNoAllocs(t *testing.T) {
 	}
 	if st.next != idx {
 		t.Fatalf("markServed left next=%d after serving prefix of %d", st.next, idx)
+	}
+}
+
+// TestRunAllocBudget: a backlogged run allocates for the requests its
+// queues hold, not for the whole streams. Three clients of 1500
+// requests each demand more than the device serves, so their FIFOs
+// back up to about 200 requests; the run measures about 150 KB,
+// most of it the latency samples. Draining every stream into a
+// slice before serving it measures about 600 KB.
+func TestRunAllocBudget(t *testing.T) {
+	const budget = 176 << 10
+	clients := func() []Client {
+		cs := make([]Client, 3)
+		for i := range cs {
+			cs[i] = Client{Name: fmt.Sprintf("c%d", i), Gen: &traffic.Sequential{
+				ClientID: i, StartB: int64(i) << 20, Bits: 64, RateGB: 0.3, Count: 1500}}
+		}
+		return cs
+	}
+	m := interleaved(t)
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		cs := clients()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := RunWithOptions(devCfg(), m, Options{Policy: OldestFirst}, cs)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := res.Clients[0].Stats.MaxFIFODepth; d <= minQueue {
+			t.Fatalf("FIFO depth %d: the run is not backlogged", d)
+		}
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best > budget {
+		t.Fatalf("a backlogged 3×1500-request run allocates %d B, budget %d B", best, budget)
 	}
 }

@@ -104,15 +104,66 @@ type Result struct {
 // pipeline's counters.
 type ReliabilityStats = reliab.Stats
 
+// queued is one arrived request in a client's queue, packed into 24
+// bytes: the fields the controller reads, and the served flag of a
+// request the reorder window took ahead of an older one.
+type queued struct {
+	issueNs float64
+	addrB   int64
+	bits    int32
+	write   bool
+	done    bool
+}
+
+// minQueue is a client queue's first ring size (a power of two).
+const minQueue = 64
+
+// clientState is one client's queue. Requests are numbered in stream
+// order; request i, once arrived and until the head passes it, lives
+// in ring[i&(len(ring)-1)]. The generator is pulled one request ahead:
+// peek is the next request to arrive, valid while more is set.
 type clientState struct {
-	reqs    []traffic.Request
+	gen     traffic.Generator
+	peek    traffic.Request
+	more    bool
+	ring    []queued
 	next    int // first unserved request
 	arrived int // requests with IssueNs <= now (>= next)
-	done    []bool
 	served  int
 	lats    []float64
 	maxFIFO int
 	bits    int64
+}
+
+// at returns request idx, which must lie in [next, arrived).
+func (st *clientState) at(idx int) *queued {
+	return &st.ring[idx&(len(st.ring)-1)]
+}
+
+// pull reads the generator's next request into peek.
+func (st *clientState) pull() {
+	st.peek, st.more = st.gen.Next()
+}
+
+// arrive moves the peeked request into the queue, doubling the ring
+// when the queue is full, and pulls the one after it. It fails on a
+// request wider than the queue record holds.
+func (st *clientState) arrive() error {
+	r := st.peek
+	if r.Bits > math.MaxInt32 {
+		return fmt.Errorf("request of %d bits exceeds the controller's %d-bit limit", r.Bits, math.MaxInt32)
+	}
+	if st.arrived-st.next == len(st.ring) {
+		ring := make([]queued, max(2*len(st.ring), minQueue))
+		for i := st.next; i < st.arrived; i++ {
+			ring[i&(len(ring)-1)] = *st.at(i)
+		}
+		st.ring = ring
+	}
+	*st.at(st.arrived) = queued{issueNs: r.IssueNs, addrB: r.AddrB, bits: int32(r.Bits), write: r.Write}
+	st.arrived++
+	st.pull()
+	return nil
 }
 
 // head returns the client's oldest unserved, arrived request index.
@@ -129,7 +180,7 @@ func (st *clientState) head() (int, bool) {
 func (st *clientState) appendCandidates(out []int, window int) []int {
 	n := 0
 	for i := st.next; i < st.arrived && n < window; i++ {
-		if !st.done[i] {
+		if !st.at(i).done {
 			out = append(out, i)
 			n++
 		}
@@ -137,11 +188,12 @@ func (st *clientState) appendCandidates(out []int, window int) []int {
 	return out
 }
 
-// markServed records completion of request idx and advances the head.
+// markServed records completion of request idx and advances the head
+// past every served request, which frees their ring slots.
 func (st *clientState) markServed(idx int) {
-	st.done[idx] = true
+	st.at(idx).done = true
 	st.served++
-	for st.next < len(st.reqs) && st.done[st.next] {
+	for st.next < st.arrived && st.at(st.next).done {
 		st.next++
 	}
 }
@@ -192,9 +244,16 @@ type TraceEntry struct {
 	Hit       bool
 }
 
-// RunWithOptions drains every client's generator and serves the merged
-// load on a device built from devCfg, translating addresses through m
-// under the controller options opt. It returns the full report.
+// RunWithOptions serves the clients' request streams on a device built
+// from devCfg, translating addresses through m under the controller
+// options opt. It returns the full report.
+//
+// Generators are pulled lazily, in arrival order, interleaved across
+// clients: each client's next request is read once the simulated clock
+// is about to reach the one before it, and only its arrived but
+// unserved requests are held. Two clients must therefore not share
+// mutable generator state (a common rng, say), or the streams would
+// depend on the pull order.
 func RunWithOptions(devCfg dram.Config, m mapping.Mapping, opt Options, clients []Client) (Result, error) {
 	policy := opt.Policy
 	if len(clients) == 0 {
@@ -232,26 +291,24 @@ func RunWithOptions(devCfg dram.Config, m mapping.Mapping, opt Options, clients 
 		}
 	}
 	states := make([]clientState, len(clients))
-	total := 0
+	pending := 0 // clients with requests still to serve
 	for i, c := range clients {
-		states[i].reqs = traffic.Slice(c.Gen)
-		states[i].done = make([]bool, len(states[i].reqs))
-		states[i].lats = make([]float64, 0, len(states[i].reqs))
-		total += len(states[i].reqs)
+		states[i].gen = c.Gen
+		states[i].pull()
+		if states[i].more {
+			pending++
+			states[i].lats = make([]float64, 0, minQueue)
+		}
 	}
-	if total == 0 {
+	if pending == 0 {
 		return Result{}, fmt.Errorf("sched: all client streams empty")
 	}
 
 	now := 0.0
-	served := 0
 	rrNext := 0
 	// Scratch for the OpenPageFirst window scan, reused across picks.
 	scratch := make([]int, 0, window)
 	var trace []TraceEntry
-	if opt.Trace {
-		trace = make([]TraceEntry, 0, total)
-	}
 	beatsOf := func(bits int) int {
 		n := units.CeilDiv(bits, devCfg.DataBits)
 		if n < 1 {
@@ -260,19 +317,21 @@ func RunWithOptions(devCfg dram.Config, m mapping.Mapping, opt Options, clients 
 		return n
 	}
 
-	for served < total {
+	for pending > 0 {
 		// Advance arrivals; find the set of ready client heads.
 		anyReady := false
 		nextArrival := math.Inf(1)
 		for i := range states {
 			st := &states[i]
-			for st.arrived < len(st.reqs) && st.reqs[st.arrived].IssueNs <= now+1e-9 {
-				st.arrived++
+			for st.more && st.peek.IssueNs <= now+1e-9 {
+				if err := st.arrive(); err != nil {
+					return Result{}, fmt.Errorf("sched: client %q: %w", clients[i].Name, err)
+				}
 			}
 			if st.next < st.arrived {
 				anyReady = true
-			} else if st.next < len(st.reqs) && st.reqs[st.next].IssueNs < nextArrival {
-				nextArrival = st.reqs[st.next].IssueNs
+			} else if st.more && st.peek.IssueNs < nextArrival {
+				nextArrival = st.peek.IssueNs
 			}
 			// FIFO occupancy: arrived but not yet served.
 			if d := st.arrived - st.served; d > st.maxFIFO {
@@ -289,28 +348,30 @@ func RunWithOptions(devCfg dram.Config, m mapping.Mapping, opt Options, clients 
 			rrNext = (pick + 1) % len(states)
 		}
 		st := &states[pick]
-		req := st.reqs[reqIdx]
-		bank, row := m.Map(req.AddrB)
-		res, err := dev.Burst(math.Max(now, req.IssueNs), bank, row, beatsOf(req.Bits), req.Write)
+		req := *st.at(reqIdx)
+		bank, row := m.Map(req.addrB)
+		res, err := dev.Burst(math.Max(now, req.issueNs), bank, row, beatsOf(int(req.bits)), req.write)
 		if err != nil {
 			return Result{}, fmt.Errorf("sched: serving client %q: %w", clients[pick].Name, err)
 		}
 		doneNs := res.DoneNs
 		if ladder != nil {
-			doneNs, err = ladder.AfterAccess(clients[pick].Name, bank, row, req.Write, beatsOf(req.Bits), res)
+			doneNs, err = ladder.AfterAccess(clients[pick].Name, bank, row, req.write, beatsOf(int(req.bits)), res)
 			if err != nil {
 				return Result{}, fmt.Errorf("sched: serving client %q: %w", clients[pick].Name, err)
 			}
 		}
-		st.lats = append(st.lats, doneNs-req.IssueNs)
-		st.bits += int64(req.Bits)
+		st.lats = append(st.lats, doneNs-req.issueNs)
+		st.bits += int64(req.bits)
 		st.markServed(reqIdx)
-		served++
+		if !st.more && st.next == st.arrived {
+			pending--
+		}
 		if opt.Trace || opt.Observer != nil {
 			e := TraceEntry{
-				Client: clients[pick].Name, AddrB: req.AddrB,
-				Bank: bank, Row: row, Write: req.Write,
-				IssueNs: req.IssueNs, StartNs: res.StartNs, DoneNs: doneNs,
+				Client: clients[pick].Name, AddrB: req.addrB,
+				Bank: bank, Row: row, Write: req.write,
+				IssueNs: req.issueNs, StartNs: res.StartNs, DoneNs: doneNs,
 				Hit: res.Hit,
 			}
 			if opt.Observer != nil {
@@ -420,8 +481,8 @@ func choose(policy Policy, states []clientState, rrNext int, dev *dram.Device, m
 	case OldestFirst:
 		best, bestIdx, bestT := -1, 0, math.Inf(1)
 		for i := 0; i < n; i++ {
-			if idx, ok := head(i); ok && states[i].reqs[idx].IssueNs < bestT {
-				best, bestIdx, bestT = i, idx, states[i].reqs[idx].IssueNs
+			if idx, ok := head(i); ok && states[i].at(idx).issueNs < bestT {
+				best, bestIdx, bestT = i, idx, states[i].at(idx).issueNs
 			}
 		}
 		if best >= 0 {
@@ -431,7 +492,7 @@ func choose(policy Policy, states []clientState, rrNext int, dev *dram.Device, m
 		best, bestIdx, bestT := -1, 0, math.Inf(1)
 		for i := 0; i < n; i++ {
 			if idx, ok := head(i); ok {
-				dl := states[i].reqs[idx].IssueNs + budgets[i]
+				dl := states[i].at(idx).issueNs + budgets[i]
 				if dl < bestT {
 					best, bestIdx, bestT = i, idx, dl
 				}
@@ -446,13 +507,13 @@ func choose(policy Policy, states []clientState, rrNext int, dev *dram.Device, m
 		for i := 0; i < n; i++ {
 			scratch = states[i].appendCandidates(scratch[:0], window)
 			for _, idx := range scratch {
-				req := &states[i].reqs[idx]
-				if idx == states[i].next && req.IssueNs < bestT {
-					best, bestIdx, bestT = i, idx, req.IssueNs
+				req := states[i].at(idx)
+				if idx == states[i].next && req.issueNs < bestT {
+					best, bestIdx, bestT = i, idx, req.issueNs
 				}
-				bank, row := m.Map(req.AddrB)
-				if dev.OpenRow(bank) == row && req.IssueNs < hitT {
-					hitBest, hitIdx, hitT = i, idx, req.IssueNs
+				bank, row := m.Map(req.addrB)
+				if dev.OpenRow(bank) == row && req.issueNs < hitT {
+					hitBest, hitIdx, hitT = i, idx, req.issueNs
 				}
 			}
 		}

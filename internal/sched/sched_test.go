@@ -73,6 +73,17 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRefusesOversizeRequest: a request wider than the queue
+// record's 32-bit size field is an error, not a silently truncated
+// transfer.
+func TestRunRefusesOversizeRequest(t *testing.T) {
+	huge := Client{Name: "huge", Gen: &traffic.Sequential{Bits: 1 << 31, RateGB: 1, Count: 1}}
+	_, err := RunWithOptions(devCfg(), interleaved(t), Options{Policy: RoundRobin}, []Client{huge})
+	if err == nil || !strings.Contains(err.Error(), `client "huge"`) {
+		t.Fatalf("err = %v, want a refusal naming the client", err)
+	}
+}
+
 func TestSingleStreamNearPeak(t *testing.T) {
 	// One sequential client demanding more than peak must sustain close
 	// to the device peak (page hits dominate).

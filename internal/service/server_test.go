@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"edram/internal/scenario"
 )
 
 const testReq = `{"capacity_mbit":16,"bandwidth_gbps":1.0,"hit_rate":0.5}`
@@ -387,5 +390,50 @@ func TestGracefulDrain(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("server did not exit after draining")
+	}
+}
+
+// TestWideRequestsRefused: a client whose requests take more than
+// scenario.MaxBeats beats of the macro interface is a 400 on every
+// path that simulates, answered by validation before any simulation
+// starts (the simulator pays per beat, so a 2^40-bit request would run
+// for about an hour).
+func TestWideRequestsRefused(t *testing.T) {
+	srv := NewServer(Config{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := ts.Client()
+
+	const wide = 1 << 40
+	sim := fmt.Sprintf(`{"spec":{"capacity_mbit":4,"interface_bits":16},
+		"options":{"policy":"round-robin"},
+		"clients":[{"name":"huge","kind":"sequential","rate_gbps":0.5,"count":1,"bits":%d}]}`, wide)
+	trials := fmt.Sprintf(`{"kind":"trials","trials":{"spec":{"capacity_mbit":16,"interface_bits":64},
+		"options":{"policy":"round-robin"},
+		"clients":[{"name":"huge","kind":"sequential","rate_gbps":0.5,"count":1,"bits":%d}],
+		"reliability":{"ecc":"secded"},"trials":2,"seed":1}}`, wide)
+	scn := strings.Replace(scenarioDoc, `"count": 500`, fmt.Sprintf(`"count": 1, "bits": %d`, wide), 1)
+	cases := []struct{ name, path, body string }{
+		{"simulate", "/v1/simulate", sim},
+		{"trials job", "/v1/jobs", trials},
+		{"scenario", "/v1/scenario", scn},
+		{"scenario job", "/v1/jobs", `{"kind":"scenario","scenario":` + scn + `}`},
+	}
+	for _, tc := range cases {
+		start := time.Now()
+		status, body, _ := post(t, client, ts.URL+tc.path, tc.body)
+		if status != http.StatusBadRequest || !strings.Contains(body, "beats of the") {
+			t.Errorf("%s: status %d, want 400 naming the beat limit: %s", tc.name, status, body)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("%s: refusal took %v", tc.name, d)
+		}
+	}
+
+	// The limit itself is served: 64 beats of a 16-bit interface.
+	at := strings.Replace(sim, fmt.Sprint(wide), fmt.Sprint(scenario.MaxBeats*16), 1)
+	if status, body, _ := post(t, client, ts.URL+"/v1/simulate", at); status != http.StatusOK {
+		t.Errorf("request of exactly %d beats: status %d: %s", scenario.MaxBeats, status, body)
 	}
 }

@@ -406,7 +406,7 @@ func (r SimulateRequest) Violations(maxRequests int64) []string {
 	}
 	var total int64
 	for i, c := range r.Clients {
-		v = append(v, c.Violations(i, maxRequests)...)
+		v = append(v, c.Violations(i, maxRequests, r.Spec.InterfaceBits)...)
 		total += int64(c.Count)
 	}
 	if maxRequests > 0 && total > maxRequests {

@@ -24,6 +24,10 @@ type Request struct {
 
 // Generator produces a request stream. Next returns the following
 // request and true, or a zero Request and false when the stream ends.
+//
+// The controller (sched.RunWithOptions) pulls its clients' generators
+// lazily, in arrival order and interleaved across clients, so two
+// generators must not share mutable state such as one *rand.Rand.
 type Generator interface {
 	Next() (Request, bool)
 }
@@ -224,17 +228,6 @@ func Slice(g Generator) []Request {
 	}
 }
 
-// Merge interleaves several request streams by issue time into one
-// time-ordered stream.
-func Merge(gens ...Generator) []Request {
-	var all []Request
-	for _, g := range gens {
-		all = append(all, Slice(g)...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].IssueNs < all[j].IssueNs })
-	return all
-}
-
 // LatencyStats summarizes the service latencies of one client.
 type LatencyStats struct {
 	Count        int
@@ -246,27 +239,27 @@ type LatencyStats struct {
 	MaxFIFODepth int
 }
 
-// Summarize computes the statistics of a latency sample (ns).
+// Summarize computes the statistics of a latency sample (ns). It sorts
+// latencies in place.
 func Summarize(latencies []float64, maxFIFO int) LatencyStats {
 	s := LatencyStats{Count: len(latencies), MaxFIFODepth: maxFIFO}
 	if len(latencies) == 0 {
 		return s
 	}
-	sorted := append([]float64(nil), latencies...)
-	sort.Float64s(sorted)
+	sort.Float64s(latencies)
 	sum := 0.0
-	for _, v := range sorted {
+	for _, v := range latencies {
 		sum += v
 	}
-	s.MeanNs = sum / float64(len(sorted))
+	s.MeanNs = sum / float64(len(latencies))
 	pick := func(q float64) float64 {
-		i := int(q * float64(len(sorted)-1))
-		return sorted[i]
+		i := int(q * float64(len(latencies)-1))
+		return latencies[i]
 	}
 	s.P50Ns = pick(0.50)
 	s.P95Ns = pick(0.95)
 	s.P99Ns = pick(0.99)
-	s.MaxNs = sorted[len(sorted)-1]
+	s.MaxNs = latencies[len(latencies)-1]
 	return s
 }
 
