@@ -11,7 +11,8 @@
 //	benchdiff -compare -time-tol 0.35 -alloc-tol 0.10 BENCH_4.json BENCH_5.json
 //
 // Time tolerance is the allowed fractional ns/op growth; alloc
-// tolerance bounds allocs/op and B/op growth the same way. Allocation
+// tolerance bounds allocs/op and B/op growth the same way. Without
+// flags they are the CI gate's (-time-tol 50 -alloc-tol 2.0). Allocation
 // counts are deterministic even at -benchtime=1x, so CI gates them
 // tightly while leaving ns/op slack for noisy runners (see the
 // bench-smoke job). A benchmark present in only one snapshot is
@@ -56,12 +57,17 @@ type Snapshot struct {
 	Benchmarks    map[string]Result `json:"benchmarks"`
 }
 
+// The compare mode's default tolerances are the CI gate's (the
+// Makefile's BENCH_TIME_TOL and BENCH_ALLOC_TOL), so a compare without
+// flags judges a pair of snapshots as CI does.
+const defaultTimeTol, defaultAllocTol = 50, 2.0
+
 func main() {
 	var (
 		compare  = flag.Bool("compare", false, "compare two snapshot files (old new) instead of parsing bench output")
 		out      = flag.String("o", "", "snapshot mode: write JSON here (default stdout)")
-		timeTol  = flag.Float64("time-tol", 0.30, "compare mode: allowed fractional ns/op growth")
-		allocTol = flag.Float64("alloc-tol", 0.0, "compare mode: allowed fractional allocs/op and B/op growth")
+		timeTol  = flag.Float64("time-tol", defaultTimeTol, "compare mode: allowed fractional ns/op growth")
+		allocTol = flag.Float64("alloc-tol", defaultAllocTol, "compare mode: allowed fractional allocs/op and B/op growth")
 	)
 	flag.Parse()
 

@@ -95,6 +95,27 @@ func TestCompareTolerances(t *testing.T) {
 	}
 }
 
+// TestDefaultTolerancesMatchGate: without flags, compare mode judges as
+// the CI gate does: a +0.0% allocation drift in code a change never runs
+// passes, and a 4x allocation blow-up still fails.
+func TestDefaultTolerancesMatchGate(t *testing.T) {
+	old := &Snapshot{Benchmarks: map[string]Result{
+		"BenchmarkE14QualityGrades": {NsPerOp: 1e7, AllocsPerOp: 93089, BytesPerOp: 4e6},
+	}}
+	drift := &Snapshot{Benchmarks: map[string]Result{
+		"BenchmarkE14QualityGrades": {NsPerOp: 1.1e7, AllocsPerOp: 93093, BytesPerOp: 4e6},
+	}}
+	if regs := Compare(old, drift, defaultTimeTol, defaultAllocTol); len(regs) != 0 {
+		t.Fatalf("a +0.0%% drift failed the default tolerances: %v", regs)
+	}
+	blowUp := &Snapshot{Benchmarks: map[string]Result{
+		"BenchmarkE14QualityGrades": {NsPerOp: 1e7, AllocsPerOp: 4 * 93089, BytesPerOp: 4e6},
+	}}
+	if regs := Compare(old, blowUp, defaultTimeTol, defaultAllocTol); len(regs) != 1 || regs[0].metric != "allocs/op" {
+		t.Fatalf("a 4x allocation blow-up under the default tolerances: %v, want one allocs/op regression", regs)
+	}
+}
+
 // TestCheckComparable: same-parallelism snapshots compare, unknown
 // provenance warns through, cross-host pairs are refused.
 func TestCheckComparable(t *testing.T) {

@@ -77,8 +77,16 @@ func main() {
 		}
 	}()
 
-	// Flag-combination validation: the reliability knobs only mean
-	// something once the fault process is armed.
+	// Flag validation. The traffic generators read a count below 1 as
+	// an unbounded stream, which a simulation never finishes; the
+	// client count splits the address space; the reliability knobs
+	// only mean something once the fault process is armed.
+	if *requests < 1 {
+		usageFail(fmt.Errorf("-requests: count must be positive, got %d (unbounded streams are not served)", *requests))
+	}
+	if *nClients < 0 {
+		usageFail(fmt.Errorf("-clients must be non-negative, got %d", *nClients))
+	}
 	if *faults < 0 {
 		usageFail(fmt.Errorf("-faults must be non-negative, got %g", *faults))
 	}

@@ -197,8 +197,9 @@ func sameBits(a, b pointEval) bool {
 }
 
 // cancelAfter is a context that cancels itself on the n-th call of
-// Err. A sweep's collector calls Err once per batch it receives, so
-// the cancellation lands inside a sweep after n-1 folded batches.
+// Err. A sweep's collector calls Err once per batch it receives, and
+// its workers poll Done only, so the cancellation lands inside a sweep
+// after n-1 folded batches.
 type cancelAfter struct {
 	context.Context
 	cancel context.CancelFunc

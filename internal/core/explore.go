@@ -2,14 +2,14 @@
 // interface width × banks × page length × block size × redundancy ×
 // process (§3); space lays that product out as Seq numbers, and
 // SweepContext evaluates its points on a worker pool and folds them in
-// the caller's goroutine. The producer hands workers one above-page
-// block per batch, and each worker builds the block's templates into a
-// slot table of its own (memo.go). A worker emits one evaluation record
-// per built point (pointEval plus a violation mask); the fold keeps an
-// incremental Pareto front of bare candidates and the closest miss,
-// and builds full Candidates — Macro and reasons — only for what the
-// sweep returns, or for every built point when the sweep has an
-// observer. Every other entry point reads that fold — ExploreContext
+// the caller's goroutine. Workers claim the window's above-page blocks
+// in Seq order through one shared cursor, and each builds a block's
+// templates into a slot table of its own (memo.go). A worker emits one
+// evaluation record per built point (pointEval plus a violation mask);
+// the fold keeps an incremental Pareto front of bare candidates and the
+// closest miss, and builds full Candidates — Macro and reasons — only
+// for what the sweep returns, or for every built point when the sweep
+// has an observer. Every other entry point reads that fold — ExploreContext
 // streams the built candidates through its observer, and
 // Explore/Recommend in core.go are thin compatibility wrappers.
 
@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"edram/internal/edram"
@@ -116,14 +117,11 @@ func (s *space) point(seq int) Point {
 }
 
 // walk calls yield with the points of [from, to) in order, decoding
-// only from and stepping the digits from there, and reports whether
-// yield accepted every point.
-func (s *space) walk(from, to int, yield func(Point) bool) bool {
+// only from and stepping the digits from there.
+func (s *space) walk(from, to int, yield func(Point)) {
 	d := s.digits(from)
 	for seq := from; seq < to; seq++ {
-		if !yield(s.at(seq, &d)) {
-			return false
-		}
+		yield(s.at(seq, &d))
 		for i := numDigits - 1; i >= 0; i-- {
 			if d[i]++; d[i] < s.radix[i] {
 				break
@@ -131,7 +129,6 @@ func (s *space) walk(from, to int, yield func(Point) bool) bool {
 			d[i] = 0
 		}
 	}
-	return true
 }
 
 // at is the point with the given Seq and digits.
@@ -185,36 +182,38 @@ type outcome struct {
 	ok   bool
 }
 
-// batch is a run of a sweep's points on their way from the producer to
-// a worker, then their outcomes (outs[i] for points[i]) on the way to
-// the collector, which returns it to batchPool: the steady-state sweep
-// allocates no per-batch slices. Pooled content is always truncated
-// and rewritten before use — nothing carries over. cands holds the
-// full candidates of a sweep with an observer; it stays nil until the
-// batch serves such a sweep, so the batches of unobserved sweeps carry
-// only the small outcome records.
+// batch is the outcomes of one claimed block on their way from a
+// worker to the collector (outs[:n], in Seq order), which returns it
+// to batchPool: the steady-state sweep allocates no per-batch slices.
+// Pooled content is always rewritten before use — nothing carries
+// over. cands holds the full candidates of a sweep with an observer; it
+// stays nil until the batch serves such a sweep, so the batches of
+// unobserved sweeps carry only the small outcome records.
 type batch struct {
-	points []Point
-	outs   []outcome // len(outs) == cap(points)
-	cands  []Candidate
+	n     int
+	outs  []outcome
+	cands []Candidate
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
-// getBatch takes an empty batch from the pool that holds n points
-// without growing.
-func getBatch(n int) *batch {
+// getBatch takes an empty batch from the pool that holds n outcomes
+// without growing, and as many candidates when observed.
+func getBatch(n int, observed bool) *batch {
 	b := batchPool.Get().(*batch)
-	if cap(b.points) < n {
-		b.points, b.outs = make([]Point, 0, n), make([]outcome, n)
+	if len(b.outs) < n {
+		b.outs = make([]outcome, n)
 	}
-	b.points = b.points[:0]
+	if observed && len(b.cands) < n {
+		b.cands = make([]Candidate, n)
+	}
+	b.n = 0
 	return b
 }
 
 // blockSpan is the number of Seqs in one above-page block: the page
-// variants of every projection in the block. A sweep batch never
-// splits one.
+// variants of every projection in the block. A sweep worker claims
+// whole blocks, so it never splits one.
 func (s *space) blockSpan() int { return s.stride[digitPage] * s.radix[digitPage] }
 
 // proj is the projection of a Seq: the Seq with its page digit
@@ -226,60 +225,28 @@ func (s *space) proj(seq int) int {
 	return seq/s.blockSpan()*st + seq%st
 }
 
-// sweepRanges streams the points of the sorted, disjoint Seq ranges in
-// order, one batch per above-page block, so every page variant of a
-// projection reaches the same worker in one batch (batching also
-// amortizes the synchronization cost, which would otherwise rival the
-// few-µs evaluation time of one candidate). The ranges are a prune
-// plan's enumerated window, so Seq numbering stays absolute: a ranged
-// or pruned sweep is exactly the corresponding slice of the full
-// enumeration (the property range-partitioned checkpoints rely on).
-// Receivers own each batch and should return it to batchPool when
-// done.
-func sweepRanges(ctx context.Context, sp *space, ranges []seqRange) <-chan *batch {
-	out := make(chan *batch, 8)
-	span := sp.blockSpan()
-	go func() {
-		defer close(out)
-		b := getBatch(span)
-		// b is swapped for a fresh batch the moment it is sent, so the
-		// one held at exit was never handed out and can be recycled.
-		defer func() { batchPool.Put(b) }()
-		flush := func() bool {
-			if len(b.points) == 0 {
-				return true
-			}
-			select {
-			case out <- b:
-				b = getBatch(span)
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		for _, r := range ranges {
-			if !sp.walk(r.From, r.To, func(p Point) bool {
-				if len(b.points) > 0 && p.Seq/span != b.points[0].Seq/span && !flush() {
-					return false
-				}
-				b.points = append(b.points, p)
-				return true
-			}) {
-				return
-			}
-		}
-		flush()
-	}()
-	return out
+// walkBlock calls yield with the points of above-page block blk that
+// lie in the sorted, disjoint Seq ranges, in order. The ranges are a
+// prune plan's enumerated window, so Seq numbering stays absolute: a
+// ranged or pruned sweep is exactly the corresponding slice of the
+// full enumeration (the property range-partitioned checkpoints rely
+// on).
+func (s *space) walkBlock(ranges []seqRange, blk int, yield func(Point)) {
+	span := s.blockSpan()
+	lo, hi := blk*span, (blk+1)*span
+	for i := sort.Search(len(ranges), func(i int) bool { return ranges[i].To > lo }); i < len(ranges) && ranges[i].From < hi; i++ {
+		s.walk(max(lo, ranges[i].From), min(hi, ranges[i].To), yield)
+	}
 }
 
 // ExploreStats is a snapshot of the engine's progress counters,
 // delivered through WithProgress (periodically and once more when the
 // run finishes, with Done set).
 type ExploreStats struct {
-	// Enumerated counts design points handed to workers so far; Built
-	// counts the subset that produced a buildable macro; Infeasible
-	// counts built candidates violating at least one requirement.
+	// Enumerated counts design points the workers evaluated so far;
+	// Built counts the subset that produced a buildable macro;
+	// Infeasible counts built candidates violating at least one
+	// requirement.
 	Enumerated int64
 	Built      int64
 	Infeasible int64
@@ -289,7 +256,7 @@ type ExploreStats struct {
 	Pruned    int64
 	FrontSize int
 	// Skipped counts points a constraint-pruned enumeration never
-	// handed to workers (whole subspaces proven infeasible before the
+	// evaluated (whole subspaces proven infeasible before the
 	// sweep — see prune.go); SkippedBuildable is the subset that would
 	// have produced a buildable macro, every one of them infeasible.
 	// Both stay zero without WithPruning. Enumerated/Built/Infeasible
@@ -298,11 +265,9 @@ type ExploreStats struct {
 	Skipped          int64
 	SkippedBuildable int64
 	// Workers is the pool size; WallTime the elapsed time since the
-	// engine started; WorkerBusy the per-worker cumulative evaluation
-	// time (populated on the final, Done snapshot).
-	Workers    int
-	WallTime   time.Duration
-	WorkerBusy []time.Duration
+	// engine started.
+	Workers  int
+	WallTime time.Duration
 	// Done is true on the final snapshot after the sweep is exhausted
 	// (it stays false when the run was cancelled mid-sweep).
 	Done bool
@@ -314,19 +279,6 @@ func (s ExploreStats) PointsPerSec() float64 {
 		return 0
 	}
 	return float64(s.Enumerated) / s.WallTime.Seconds()
-}
-
-// Utilization returns each worker's busy fraction of the wall time
-// (empty until the final snapshot carries WorkerBusy).
-func (s ExploreStats) Utilization() []float64 {
-	if s.WallTime <= 0 || len(s.WorkerBusy) == 0 {
-		return nil
-	}
-	out := make([]float64, len(s.WorkerBusy))
-	for i, b := range s.WorkerBusy {
-		out[i] = b.Seconds() / s.WallTime.Seconds()
-	}
-	return out
 }
 
 type exploreConfig struct {
@@ -576,51 +528,61 @@ func SweepContext(ctx context.Context, req Requirements, opts ...ExploreOption) 
 	return s.run(ctx)
 }
 
-// run is the engine: a producer streams the window's points in batches,
-// workers evaluate them, and the calling goroutine folds the outcomes.
+// run is the engine: workers claim the window's blocks and evaluate
+// them, and the calling goroutine folds the outcomes.
 func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 	cfg := &s.cfg
-	batches := sweepRanges(ctx, s.space, s.plan.enumerated(s.from, s.to))
+	ranges := s.plan.enumerated(s.from, s.to)
+	span := s.space.blockSpan()
 	start := time.Now() //nolint:edramvet/determinism // feeds ExploreStats.WallTime only, never results
 
-	// Workers: evaluate batches of points through a slot table and one
-	// scratch macro each, forwarding outcomes (including unbuildable
-	// corners, so the collector can count enumeration) to the collector
-	// in the batch they came in — per-point channel traffic would rival
-	// the evaluation cost itself. The collector returns each batch to
-	// the pool once it has read it.
+	// Workers: claim above-page blocks in Seq order through one shared
+	// cursor, so every page variant of a projection reaches one worker's
+	// slot table, and evaluate each block's enumerated points through it
+	// and one scratch macro. The outcomes (including unbuildable
+	// corners, so the collector can count enumeration) go to the
+	// collector one block per batch — per-point channel traffic would
+	// rival the few-µs evaluation cost itself. The collector returns
+	// each batch to the pool once it has read it.
+	var cursor atomic.Int64 // the last block claimed
+	cursor.Store(int64(s.from/span) - 1)
+	last := int64((s.to - 1) / span)
 	results := make(chan *batch, cfg.workers*2)
-	busy := make([]time.Duration, cfg.workers)
 	observed := cfg.observer != nil
 	var wg sync.WaitGroup
 	wg.Add(cfg.workers)
 	for w := 0; w < cfg.workers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			var acc time.Duration
 			var scratch edram.Macro
 			slots := s.memo.table()
-			defer func() { busy[w] = acc }()
-			for b := range batches {
-				t0 := time.Now() //nolint:edramvet/determinism // feeds ExploreStats.WorkerBusy only, never results
-				if observed && len(b.cands) < len(b.outs) {
-					b.cands = make([]Candidate, len(b.outs))
+			for blk := cursor.Add(1); blk <= last; blk = cursor.Add(1) {
+				select {
+				case <-ctx.Done():
+					return
+				default:
 				}
-				for i := range b.points {
+				b := getBatch(span, observed)
+				s.space.walkBlock(ranges, int(blk), func(p Point) {
 					var cand *Candidate // the observer's, if any
 					if observed {
-						cand = &b.cands[i]
+						cand = &b.cands[b.n]
 					}
-					s.memo.evaluate(&b.outs[i], cand, &b.points[i], slots, &scratch)
+					s.memo.evaluate(&b.outs[b.n], cand, &p, slots, &scratch)
+					b.n++
+				})
+				if b.n == 0 { // the plan skips the whole block
+					batchPool.Put(b)
+					continue
 				}
-				acc += time.Since(t0)
 				select {
 				case results <- b:
 				case <-ctx.Done():
+					batchPool.Put(b)
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	go func() {
 		wg.Wait()
@@ -633,16 +595,12 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 	var f fold
 	skipped, skippedBuildable := s.plan.tally(s.from, s.to)
 	snapshot := func(done bool) ExploreStats {
-		st := ExploreStats{
+		return ExploreStats{
 			Enumerated: f.enumerated, Built: f.built, Infeasible: f.infeasible,
 			Pruned: f.front.Pruned(), FrontSize: f.front.Size(),
 			Skipped: skipped, SkippedBuildable: skippedBuildable,
 			Workers: cfg.workers, WallTime: time.Since(start), Done: done,
 		}
-		if done {
-			st.WorkerBusy = append([]time.Duration(nil), busy...)
-		}
-		return st
 	}
 	lastProgress := int64(0)
 	for b := range results {
@@ -650,7 +608,7 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 			batchPool.Put(b)
 			continue
 		}
-		for i := range b.points {
+		for i := range b.n {
 			o := &b.outs[i]
 			f.enumerated++
 			if !o.ok { // unbuildable corner of the space

@@ -308,8 +308,8 @@ func TestExploreContextStatsAndHooks(t *testing.T) {
 	if final.Enumerated < final.Built {
 		t.Errorf("enumerated %d < built %d", final.Enumerated, final.Built)
 	}
-	if final.Workers != 3 || len(final.WorkerBusy) != 3 {
-		t.Errorf("workers = %d, busy slots = %d, want 3", final.Workers, len(final.WorkerBusy))
+	if final.Workers != 3 {
+		t.Errorf("workers = %d, want 3", final.Workers)
 	}
 	if final.WallTime <= 0 || final.PointsPerSec() <= 0 {
 		t.Errorf("degenerate wall time %v", final.WallTime)
@@ -319,9 +319,6 @@ func TestExploreContextStatsAndHooks(t *testing.T) {
 	}
 	if final.Pruned == 0 {
 		t.Error("incremental front pruned nothing over the full space")
-	}
-	if u := final.Utilization(); len(u) != 3 {
-		t.Errorf("utilization slots = %d, want 3", len(u))
 	}
 }
 

@@ -59,10 +59,10 @@ func newEvalMemo(req Requirements, sp *space) *evalMemo {
 // table returns an empty slot table for one worker: one slot per
 // combination of the digits below the page, so the page variants of a
 // projection share a slot and the projections of one above-page block
-// each have their own. The sweep hands a worker whole blocks, so every
+// each have their own. A worker claims whole blocks, so every
 // projection is built once; a slot is refilled whenever a point's
 // projection differs from its tag, so correctness depends neither on
-// how the points were batched nor on the table's length.
+// which points a worker gets nor on the table's length.
 func (mm *evalMemo) table() []memoSlot {
 	slots := make([]memoSlot, mm.space.stride[digitPage])
 	for i := range slots {

@@ -197,15 +197,16 @@ func referencePoints(req Requirements, procs []tech.Process) []Point {
 	return out
 }
 
-// drainSweep collects the enumerator's stream for the whole space of
-// req through the empty plan.
+// drainSweep collects the points the sweep's workers walk for the
+// whole space of req through the empty plan, block by block in claim
+// order.
 func drainSweep(t *testing.T, req Requirements) []Point {
 	t.Helper()
 	sp := newSpace(req, resolveProcesses(req))
+	ranges := (&prunePlan{}).enumerated(0, sp.total)
 	var out []Point
-	for b := range sweepRanges(context.Background(), sp, (&prunePlan{}).enumerated(0, sp.total)) {
-		out = append(out, b.points...)
-		batchPool.Put(b)
+	for blk := 0; blk <= (sp.total-1)/sp.blockSpan(); blk++ {
+		sp.walkBlock(ranges, blk, func(p Point) { out = append(out, p) })
 	}
 	return out
 }
@@ -233,7 +234,7 @@ func TestPointAtInvertsSweep(t *testing.T) {
 		for _, from := range []int{0, 1, 7, sp.total / 3, sp.total - 5} {
 			to := min(from+200, sp.total)
 			var got []Point
-			sp.walk(from, to, func(p Point) bool { got = append(got, p); return true })
+			sp.walk(from, to, func(p Point) { got = append(got, p) })
 			if !reflect.DeepEqual(got, ref[from:to]) {
 				t.Fatalf("walk(%d, %d) differs from the reference", from, to)
 			}

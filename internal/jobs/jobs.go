@@ -181,9 +181,10 @@ type Store struct {
 	wg      sync.WaitGroup
 
 	// OnCheckpoint, when set (tests only), observes every persisted
-	// checkpoint — the hook resume/kill tests synchronize on. Set it
-	// before the first Submit.
-	OnCheckpoint func(id string, checkpoints int)
+	// checkpoint — the hook resume/kill tests synchronize on — with the
+	// running job's context, so a hook can hold the runner until the
+	// job is cancelled. Set it before the first Submit.
+	OnCheckpoint func(ctx context.Context, id string, checkpoints int)
 }
 
 // NewStore builds a store. When cfg.Dir is non-empty it is created if
@@ -287,7 +288,7 @@ func (s *Store) launchLocked(j *Job, run RunFunc) (start func()) {
 func (s *Store) runJob(ctx context.Context, cancel context.CancelFunc, j *Job, run RunFunc) {
 	defer s.wg.Done()
 	defer cancel()
-	result, err := run(ctx, &Handle{store: s, job: j})
+	result, err := run(ctx, &Handle{store: s, job: j, ctx: ctx})
 
 	s.mu.Lock()
 	s.active--
@@ -477,10 +478,12 @@ func (j *Job) snapshotLocked() Snapshot {
 	}
 }
 
-// Handle is the runner's view of its job.
+// Handle is the runner's view of its job; ctx is the context the
+// runner was given, which Checkpoint hands to OnCheckpoint.
 type Handle struct {
 	store *Store
 	job   *Job
+	ctx   context.Context
 }
 
 // Resumed returns the checkpoint state the job was restarted with
@@ -511,7 +514,7 @@ func (h *Handle) Checkpoint(state json.RawMessage) error {
 		return err
 	}
 	if s.OnCheckpoint != nil {
-		s.OnCheckpoint(j.ID, n)
+		s.OnCheckpoint(h.ctx, j.ID, n)
 	}
 	return nil
 }

@@ -231,7 +231,7 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkpointed := make(chan struct{})
-	s1.OnCheckpoint = func(id string, n int) {
+	s1.OnCheckpoint = func(_ context.Context, id string, n int) {
 		if n == 1 {
 			close(checkpointed)
 		}

@@ -174,7 +174,7 @@ func TestJobStoreSheds503(t *testing.T) {
 	hold := make(chan struct{})
 	defer close(hold)
 	var once sync.Once
-	srv.jobsStore.OnCheckpoint = func(id string, n int) {
+	srv.jobsStore.OnCheckpoint = func(_ context.Context, id string, n int) {
 		once.Do(func() {
 			close(started)
 			<-hold

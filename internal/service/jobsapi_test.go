@@ -109,7 +109,7 @@ func TestJobCheckpointResumeByteParity(t *testing.T) {
 	firstCkpt := make(chan struct{})
 	hold := make(chan struct{})
 	var once sync.Once
-	s1.jobsStore.OnCheckpoint = func(id string, n int) {
+	s1.jobsStore.OnCheckpoint = func(_ context.Context, id string, n int) {
 		once.Do(func() {
 			close(firstCkpt)
 			<-hold
@@ -352,7 +352,7 @@ func TestJobResultWhileRunning(t *testing.T) {
 	hold := make(chan struct{})
 	defer close(hold)
 	var once sync.Once
-	srv.jobsStore.OnCheckpoint = func(id string, n int) {
+	srv.jobsStore.OnCheckpoint = func(_ context.Context, id string, n int) {
 		once.Do(func() {
 			close(started)
 			<-hold

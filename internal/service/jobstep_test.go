@@ -101,11 +101,12 @@ func TestJobCancelAfterLastStep(t *testing.T) {
 			cfg := Config{Workers: 2, JobDir: dir, JobCheckpointEvery: tc.every}
 			s1 := NewServer(cfg)
 			atLast := make(chan struct{})
-			hold := make(chan struct{})
-			s1.jobsStore.OnCheckpoint = func(id string, n int) {
+			// The last checkpoint holds its runner until Close has
+			// cancelled that very job's context.
+			s1.jobsStore.OnCheckpoint = func(ctx context.Context, id string, n int) {
 				if n == tc.checkpoints {
 					close(atLast)
-					<-hold
+					<-ctx.Done()
 				}
 			}
 			ts1 := httptest.NewServer(s1)
@@ -115,28 +116,10 @@ func TestJobCancelAfterLastStep(t *testing.T) {
 			}
 			id := jobID(t, body)
 			<-atLast
-			// A sentinel job returns once Close has cancelled the store's
-			// jobs, which is when the blocked runner may go on.
-			cancelled := make(chan struct{})
-			if _, _, err := s1.jobsStore.Submit("sentinel", "test", "sentinel", nil,
-				func(ctx context.Context, _ *jobs.Handle) ([]byte, error) {
-					<-ctx.Done()
-					close(cancelled)
-					return nil, ctx.Err()
-				}); err != nil {
-				t.Fatal(err)
-			}
-			closeErr := make(chan error, 1)
-			go func() { closeErr <- s1.Close() }()
-			<-cancelled
-			close(hold)
-			if err := <-closeErr; err != nil {
+			if err := s1.Close(); err != nil {
 				t.Fatalf("close: %v", err)
 			}
 			ts1.Close()
-			if err := os.Remove(filepath.Join(dir, "sentinel.json")); err != nil {
-				t.Fatal(err)
-			}
 
 			if snap, _ := s1.jobsStore.Get(id); snap.State != jobs.StateCancelled {
 				t.Errorf("job cancelled after its last step ended %s (error %q), want cancelled", snap.State, snap.Error)
