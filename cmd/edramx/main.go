@@ -56,12 +56,30 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
+	req := core.Requirements{
+		CapacityMbit:  *capacity,
+		BandwidthGBps: *bandwidth,
+		HitRate:       *hitrate,
+		MaxAreaMm2:    *maxArea,
+		MaxPowerMW:    *maxPower,
+		DefectsPerCm2: *defects,
+	}
+	// The flag-built requirements are checked before any profile
+	// starts, so a usage error leaves no profile file behind; same
+	// validation (and the same messages) as the service layer.
+	if *scenDir == "" && *scenFile == "" {
+		if err := req.Validate(); err != nil {
+			fail(err)
+		}
+	}
+
+	stop, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fail(err)
 	}
+	stopProfile = stop
 	defer func() {
-		if err := stopProf(); err != nil {
+		if err := endProfile(); err != nil {
 			fail(err)
 		}
 	}()
@@ -73,19 +91,6 @@ func main() {
 	if *scenFile != "" {
 		runScenario(*scenFile, *jsonOut, *workers)
 		return
-	}
-
-	req := core.Requirements{
-		CapacityMbit:  *capacity,
-		BandwidthGBps: *bandwidth,
-		HitRate:       *hitrate,
-		MaxAreaMm2:    *maxArea,
-		MaxPowerMW:    *maxPower,
-		DefectsPerCm2: *defects,
-	}
-	// Same validation (and the same messages) as the service layer.
-	if err := req.Validate(); err != nil {
-		fail(err)
 	}
 
 	if *delta != "" {
@@ -337,7 +342,26 @@ func progressLine(s core.ExploreStats) {
 	}
 }
 
+// stopProfile ends the -cpuprofile/-memprofile profiles; nil until
+// they start, and again once they are stopped.
+var stopProfile func() error
+
+// endProfile stops the profiles once. fail calls it because os.Exit
+// skips main's deferred stop, which would leave a truncated CPU
+// profile and no heap profile behind.
+func endProfile() error {
+	stop := stopProfile
+	stopProfile = nil
+	if stop == nil {
+		return nil
+	}
+	return stop()
+}
+
 func fail(err error) {
+	if perr := endProfile(); perr != nil {
+		fmt.Fprintln(os.Stderr, "edramx:", perr)
+	}
 	fmt.Fprintln(os.Stderr, "edramx:", err)
 	os.Exit(1)
 }

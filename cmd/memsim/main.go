@@ -67,20 +67,12 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fail(err)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fail(err)
-		}
-	}()
-
-	// Flag validation. The traffic generators read a count below 1 as
-	// an unbounded stream, which a simulation never finishes; the
-	// client count splits the address space; the reliability knobs
-	// only mean something once the fault process is armed.
+	// Flag validation, before any profile starts, so a usage error
+	// leaves no profile file behind. The traffic generators read a
+	// count below 1 as an unbounded stream, which a simulation never
+	// finishes; the client count splits the address space; the
+	// reliability knobs only mean something once the fault process is
+	// armed.
 	if *requests < 1 {
 		usageFail(fmt.Errorf("-requests: count must be positive, got %d (unbounded streams are not served)", *requests))
 	}
@@ -105,6 +97,17 @@ func main() {
 			usageFail(err)
 		}
 	}
+
+	stop, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fail(err)
+	}
+	stopProfile = stop
+	defer func() {
+		if err := endProfile(); err != nil {
+			fail(err)
+		}
+	}()
 
 	// A scenario file overrides the geometry, policy and client flags:
 	// the document's target level (its pinned spec plus its allocated
@@ -295,11 +298,31 @@ func main() {
 	}
 }
 
-// fail reports a runtime error, flushing any streaming trace first so
-// partial traces survive early exits.
+// stopProfile ends the -cpuprofile/-memprofile profiles; nil until
+// they start, and again once they are stopped.
+var stopProfile func() error
+
+// endProfile stops the profiles once. fail and usageFail call it
+// because os.Exit skips main's deferred stop, which would leave a
+// truncated CPU profile and no heap profile behind.
+func endProfile() error {
+	stop := stopProfile
+	stopProfile = nil
+	if stop == nil {
+		return nil
+	}
+	return stop()
+}
+
+// fail reports a runtime error, flushing any streaming trace and
+// stopping the profiles first so partial traces and the profiles
+// survive early exits.
 func fail(err error) {
 	if traceW != nil {
 		traceW.Flush()
+	}
+	if perr := endProfile(); perr != nil {
+		fmt.Fprintln(os.Stderr, "memsim:", perr)
 	}
 	fmt.Fprintln(os.Stderr, "memsim:", err)
 	os.Exit(1)
@@ -308,6 +331,9 @@ func fail(err error) {
 // usageFail reports an invalid flag combination with the usage text and
 // a distinct exit code.
 func usageFail(err error) {
+	if perr := endProfile(); perr != nil {
+		fmt.Fprintln(os.Stderr, "memsim:", perr)
+	}
 	fmt.Fprintln(os.Stderr, "memsim:", err)
 	flag.Usage()
 	os.Exit(2)

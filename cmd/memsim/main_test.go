@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -55,5 +56,29 @@ func TestRefusesUnboundedOrNegativeCounts(t *testing.T) {
 				t.Errorf("memsim %v stderr lacks %q:\n%s", tc.args, tc.want, stderr.String())
 			}
 		})
+	}
+}
+
+// TestUsageErrorLeavesNoProfile: the flags are checked before the
+// profiler starts, so a usage error exits 2 without creating the
+// -cpuprofile or -memprofile file.
+func TestUsageErrorLeavesNoProfile(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-cpuprofile", cpu, "-memprofile", mem, "-ecc", "secded")
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("memsim -ecc secded: %v, want exit status 2 (stderr: %s)", err, stderr.String())
+	}
+	for _, p := range []string{cpu, mem} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("usage error left %s behind (stat: %v)", filepath.Base(p), err)
+		}
 	}
 }

@@ -188,11 +188,18 @@ type Candidate struct {
 // plus the transfer cycle. Validated against the event-driven simulator
 // in ablation A3.
 func SustainedEstimate(m *edram.Macro, hitRate float64) float64 {
+	return sustainedGBps(&m.Timing, m.Geometry.Banks, m.Geometry.InterfaceBits, m.ClockMHz, hitRate)
+}
+
+// sustainedGBps is the one sustained-bandwidth formula, behind
+// SustainedEstimate and the sweep's template-measured records: timing
+// tm with banks overlapping their activations, behind an interface of
+// ifaceBits at clockMHz.
+func sustainedGBps(tm *tech.SDRAMTiming, banks, ifaceBits int, clockMHz, hitRate float64) float64 {
 	hitRate = units.Clamp(hitRate, 0, 1)
-	tm := m.Timing
-	banks := float64(m.Geometry.Banks)
+	nb := float64(banks)
 	perHit := tm.TCKns
-	rowShare := tm.TRCns / banks
+	rowShare := tm.TRCns / nb
 	if rowShare < tm.TRCDns {
 		rowShare = tm.TRCDns
 	}
@@ -201,7 +208,7 @@ func SustainedEstimate(m *edram.Macro, hitRate float64) float64 {
 	if avg <= 0 {
 		return 0
 	}
-	return m.PeakBandwidthGBps() * perHit / avg
+	return units.BandwidthGBps(ifaceBits, clockMHz) * perHit / avg
 }
 
 // repairFractionFor maps redundancy level to the fraction of
@@ -224,7 +231,7 @@ func repairFractionFor(level edram.RedundancyLevel) float64 {
 // identical instances that share the load. It is the unmemoized
 // reference path; the explore engine runs the byte-identical
 // evalMemo.evaluate and evalMemo.candidate (see memo.go).
-func evaluate(spec edram.Spec, macros int, req Requirements, e tech.Electrical, ce power.CoreEnergy) (Candidate, error) {
+func evaluate(spec edram.Spec, macros int, req *Requirements, e *tech.Electrical, ce *power.CoreEnergy) (Candidate, error) {
 	if macros < 1 {
 		macros = 1
 	}
@@ -242,22 +249,34 @@ func evaluate(spec edram.Spec, macros int, req Requirements, e tech.Electrical, 
 
 // pointEval is the evaluation record of one built sweep point: the
 // exact metric floats every feasibility comparison and dominance test
-// reads. It is all a sweep's workers emit and all a DeltaState
-// retains; everything else about the candidate is rebuilt on demand
-// from its Seq (evalMemo.candidate, byte-identical).
+// reads. It is all a sweep's workers emit, all a Pareto front scans
+// and all a DeltaState retains; everything else about the candidate is
+// rebuilt on demand from its Seq (evalMemo.candidate, byte-identical).
 type pointEval struct {
 	seq                                 int
 	area, power, cost, sustained, clock float64
 }
 
+// recordOf is a candidate's evaluation record (clock 0 when it carries
+// no Macro; no dominance test or canonical order reads the clock).
+func recordOf(c *Candidate) pointEval {
+	ev := pointEval{c.Seq, c.AreaMm2, c.PowerMW, c.CostUSD, c.SustainedGBps, 0}
+	if c.Macro != nil {
+		ev.clock = c.Macro.ClockMHz
+	}
+	return ev
+}
+
 // measure is the record of a macro built for one point: the metrics of
-// `macros` identical instances sharing the load.
-func measure(seq int, m *edram.Macro, macros int, req *Requirements, e tech.Electrical, ce power.CoreEnergy, dieCostUSD float64) pointEval {
+// `macros` identical instances sharing the load. The sweep measures its
+// points from their templates instead (evalMemo.record), through the
+// same power and sustained-bandwidth helpers.
+func measure(seq int, m *edram.Macro, macros int, req *Requirements, e *tech.Electrical, ce *power.CoreEnergy, dieCostUSD float64) pointEval {
 	n := float64(macros)
 	return pointEval{
 		seq:       seq,
 		area:      n * m.Area.TotalMm2,
-		power:     n * m.Power(e, ce, 1.0, req.HitRate).TotalMW,
+		power:     n * m.Power(*e, *ce, 1.0, req.HitRate).TotalMW,
 		cost:      dieCostUSD,
 		sustained: n * SustainedEstimate(m, req.HitRate),
 		clock:     m.ClockMHz,
@@ -313,9 +332,9 @@ func reasons(ev *pointEval, req *Requirements, v uint8) []string {
 // scoreCandidate assembles the full candidate from a built macro and
 // its die-cost results — the shared tail of the unmemoized evaluate and
 // the sweep's evalMemo.candidate, so the two paths cannot drift apart.
-func scoreCandidate(spec edram.Spec, macros int, m *edram.Macro, req Requirements, e tech.Electrical, ce power.CoreEnergy, dieCostUSD, dieYield float64) Candidate {
-	ev := measure(0, m, macros, &req, e, ce, dieCostUSD)
-	v := violations(&ev, &req)
+func scoreCandidate(spec edram.Spec, macros int, m *edram.Macro, req *Requirements, e *tech.Electrical, ce *power.CoreEnergy, dieCostUSD, dieYield float64) Candidate {
+	ev := measure(0, m, macros, req, e, ce, dieCostUSD)
+	v := violations(&ev, req)
 	return Candidate{
 		Spec:           spec,
 		Macro:          m,
@@ -328,7 +347,7 @@ func scoreCandidate(spec edram.Spec, macros int, m *edram.Macro, req Requirement
 		CostUSD:        dieCostUSD,
 		CostPerMbitUSD: cost.CostPerMbitUSD(dieCostUSD, float64(req.CapacityMbit)),
 		Feasible:       v == 0,
-		Reasons:        reasons(&ev, &req, v),
+		Reasons:        reasons(&ev, req, v),
 	}
 }
 
@@ -393,31 +412,33 @@ func Feasible(cands []Candidate) []Candidate {
 	return out
 }
 
-// dominates reports whether a is at least as good as b on (area, power,
-// cost, -sustained) and strictly better somewhere. It takes pointers
-// because the dominance scans in Frontier.Add and Pareto are the hot
-// loops of the explore collector — passing the ~200-byte Candidate by
-// value made struct copying the top profile entry. The strictly-worse
-// test runs first: on a healthy front most comparisons are between
-// mutually non-dominated candidates, and those exit on the first
-// objective where b wins.
-func dominates(a, b *Candidate) bool {
-	if a.AreaMm2 > b.AreaMm2 || a.PowerMW > b.PowerMW ||
-		a.CostUSD > b.CostUSD || a.SustainedGBps < b.SustainedGBps {
+// dominates is the one dominance test: whether record a is at least as
+// good as b on (area, power, cost, -sustained) and strictly better
+// somewhere. The strictly-worse test runs first: on a healthy front most
+// comparisons are between mutually non-dominated records, and those
+// exit on the first objective where b wins.
+func dominates(a, b *pointEval) bool {
+	if a.area > b.area || a.power > b.power ||
+		a.cost > b.cost || a.sustained < b.sustained {
 		return false
 	}
-	return a.AreaMm2 < b.AreaMm2 || a.PowerMW < b.PowerMW ||
-		a.CostUSD < b.CostUSD || a.SustainedGBps > b.SustainedGBps
+	return a.area < b.area || a.power < b.power ||
+		a.cost < b.cost || a.sustained > b.sustained
 }
 
 // Pareto extracts the non-dominated candidates (objectives: minimize
 // area, power and cost; maximize sustained bandwidth), sorted by area.
+// It is the batch definition of the front, by pairs of records.
 func Pareto(cands []Candidate) []Candidate {
-	var front []Candidate
+	recs := make([]pointEval, len(cands))
 	for i := range cands {
+		recs[i] = recordOf(&cands[i])
+	}
+	var front []Candidate
+	for i := range recs {
 		dominated := false
-		for j := range cands {
-			if i != j && dominates(&cands[j], &cands[i]) {
+		for j := range recs {
+			if i != j && dominates(&recs[j], &recs[i]) {
 				dominated = true
 				break
 			}

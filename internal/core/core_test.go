@@ -112,8 +112,9 @@ func TestParetoIsNonDominated(t *testing.T) {
 		t.Fatalf("front size %d of %d implausible", len(front), len(feas))
 	}
 	for _, f := range front {
+		fr := recordOf(&f)
 		for _, c := range feas {
-			if dominates(&c, &f) {
+			if cr := recordOf(&c); dominates(&cr, &fr) {
 				t.Fatalf("front member dominated: %+v by %+v", f.Spec, c.Spec)
 			}
 		}
@@ -210,8 +211,8 @@ func TestDominanceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(i, j uint16) bool {
-		a := cands[int(i)%len(cands)]
-		b := cands[int(j)%len(cands)]
+		a := recordOf(&cands[int(i)%len(cands)])
+		b := recordOf(&cands[int(j)%len(cands)])
 		if dominates(&a, &a) {
 			return false
 		}

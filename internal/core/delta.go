@@ -233,7 +233,8 @@ func DeltaExplore(ctx context.Context, s *DeltaState, newReq Requirements, worke
 	// would: the front is insertion-order independent, so the fold's
 	// counters, front and closest miss are the cold run's.
 	skipped, skippedBuildable := newPlan.tally(0, s.space.total)
-	f := fold{enumerated: int64(s.space.total) - skipped}
+	f := newFold()
+	f.enumerated = int64(s.space.total) - skipped
 	for _, r := range needed {
 		for seq := r.From; seq < r.To; seq++ {
 			if s.records.has(seq) {

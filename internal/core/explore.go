@@ -3,13 +3,13 @@
 // process (§3); space lays that product out as Seq numbers, and
 // SweepContext evaluates its points on a worker pool and folds them in
 // the caller's goroutine. Workers claim the window's above-page blocks
-// in Seq order through one shared cursor, and each builds a block's
+// in Seq order through one shared counter, and each builds a block's
 // templates into a slot table of its own (memo.go). A worker emits one
-// evaluation record per built point (pointEval plus a violation mask);
-// the fold keeps an incremental Pareto front of bare candidates and the
-// closest miss, and builds full Candidates — Macro and reasons — only
-// for what the sweep returns, or for every built point when the sweep
-// has an observer. Every other entry point reads that fold — ExploreContext
+// evaluation record per built point (pointEval plus a violation mask),
+// measured from the point's template; the fold keeps an incremental
+// Pareto front of records and the closest miss, and builds full
+// Candidates — Macro and reasons — only for what the sweep returns, or
+// for every built point when the sweep has an observer. Every other entry point reads that fold — ExploreContext
 // streams the built candidates through its observer, and
 // Explore/Recommend in core.go are thin compatibility wrappers.
 
@@ -116,17 +116,25 @@ func (s *space) point(seq int) Point {
 	return s.at(seq, &d)
 }
 
-// walk calls yield with the points of [from, to) in order, decoding
-// only from and stepping the digits from there.
-func (s *space) walk(from, to int, yield func(Point)) {
-	d := s.digits(from)
-	for seq := from; seq < to; seq++ {
-		yield(s.at(seq, &d))
+// cursor is a position in the space: a Seq and its digits. The sweep's
+// walk steps one in place and hands it to the caller by pointer, so
+// walking a point copies no Point.
+type cursor struct {
+	seq int
+	d   [numDigits]int
+}
+
+// walk steps c through the Seqs of [from, to) in order, calling yield at
+// each; it decodes only from and steps the digits from there.
+func (s *space) walk(from, to int, c *cursor, yield func()) {
+	c.seq, c.d = from, s.digits(from)
+	for ; c.seq < to; c.seq++ {
+		yield()
 		for i := numDigits - 1; i >= 0; i-- {
-			if d[i]++; d[i] < s.radix[i] {
+			if c.d[i]++; c.d[i] < s.radix[i] {
 				break
 			}
-			d[i] = 0
+			c.d[i] = 0
 		}
 	}
 }
@@ -225,17 +233,17 @@ func (s *space) proj(seq int) int {
 	return seq/s.blockSpan()*st + seq%st
 }
 
-// walkBlock calls yield with the points of above-page block blk that
-// lie in the sorted, disjoint Seq ranges, in order. The ranges are a
-// prune plan's enumerated window, so Seq numbering stays absolute: a
-// ranged or pruned sweep is exactly the corresponding slice of the
-// full enumeration (the property range-partitioned checkpoints rely
-// on).
-func (s *space) walkBlock(ranges []seqRange, blk int, yield func(Point)) {
+// walkBlock steps c through the points of above-page block blk that lie
+// in the sorted, disjoint Seq ranges, in order, calling yield at each.
+// The ranges are a prune plan's enumerated window, so Seq numbering
+// stays absolute: a ranged or pruned sweep is exactly the corresponding
+// slice of the full enumeration (the property range-partitioned
+// checkpoints rely on).
+func (s *space) walkBlock(ranges []seqRange, blk int, c *cursor, yield func()) {
 	span := s.blockSpan()
 	lo, hi := blk*span, (blk+1)*span
 	for i := sort.Search(len(ranges), func(i int) bool { return ranges[i].To > lo }); i < len(ranges) && ranges[i].From < hi; i++ {
-		s.walk(max(lo, ranges[i].From), min(hi, ranges[i].To), yield)
+		s.walk(max(lo, ranges[i].From), min(hi, ranges[i].To), c, yield)
 	}
 }
 
@@ -421,21 +429,29 @@ func (r SweepResult) Recommendations(req Requirements) ([]Recommendation, error)
 }
 
 // fold accumulates a sweep's evaluation records into what it returns:
-// the counters, a Pareto front of bare candidates (the record's floats,
-// its Seq and Feasible — all dominance and canonical order read) and
-// the closest miss by (number of violations, Seq).
+// the counters, a Pareto front of the feasible records and the closest
+// miss by (number of violations, Seq).
 type fold struct {
 	enumerated, built, infeasible int64
-	front                         Frontier
+	front                         front
 	missViol, missSeq             int // missViol 0: no miss yet
+}
+
+// foldFrontCap presizes a fold's front. Over 150 random explores shaped
+// like perfbench's cold ones, the final front held 32 records at the
+// median and at most 124, so a front grows from this at most once.
+const foldFrontCap = 64
+
+// newFold returns an empty fold with its front presized.
+func newFold() fold {
+	return fold{front: front{recs: make([]pointEval, 0, foldFrontCap)}}
 }
 
 // add folds one built point's record and violation mask.
 func (f *fold) add(ev *pointEval, viol uint8) {
 	f.built++
 	if viol == 0 {
-		f.front.Add(Candidate{Seq: ev.seq, AreaMm2: ev.area, PowerMW: ev.power, CostUSD: ev.cost,
-			SustainedGBps: ev.sustained, Feasible: true})
+		f.front.add(ev, nil)
 		return
 	}
 	f.infeasible++
@@ -452,10 +468,13 @@ func (f *fold) result(skipped, skippedBuildable int64, mm *evalMemo) SweepResult
 		Enumerated: f.enumerated + skipped,
 		Built:      f.built + skippedBuildable,
 		Infeasible: f.infeasible + skippedBuildable,
-		Frontier:   f.front.Candidates(),
 	}
-	for i := range res.Frontier {
-		res.Frontier[i] = mm.candidate(res.Frontier[i].Seq)
+	if len(f.front.recs) > 0 {
+		sort.Sort(&f.front)
+		res.Frontier = make([]Candidate, len(f.front.recs))
+		for i := range f.front.recs {
+			res.Frontier[i] = mm.candidate(f.front.recs[i].seq)
+		}
 	}
 	if f.missViol > 0 {
 		res.Nearest = mm.candidate(f.missSeq)
@@ -537,15 +556,15 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 	start := time.Now() //nolint:edramvet/determinism // feeds ExploreStats.WallTime only, never results
 
 	// Workers: claim above-page blocks in Seq order through one shared
-	// cursor, so every page variant of a projection reaches one worker's
-	// slot table, and evaluate each block's enumerated points through it
-	// and one scratch macro. The outcomes (including unbuildable
+	// counter, so every page variant of a projection reaches one worker's
+	// slot table, and evaluate each block's enumerated points through
+	// it. The outcomes (including unbuildable
 	// corners, so the collector can count enumeration) go to the
 	// collector one block per batch — per-point channel traffic would
 	// rival the few-µs evaluation cost itself. The collector returns
 	// each batch to the pool once it has read it.
-	var cursor atomic.Int64 // the last block claimed
-	cursor.Store(int64(s.from/span) - 1)
+	var claimed atomic.Int64 // the last block claimed
+	claimed.Store(int64(s.from/span) - 1)
 	last := int64((s.to - 1) / span)
 	results := make(chan *batch, cfg.workers*2)
 	observed := cfg.observer != nil
@@ -554,21 +573,21 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 	for w := 0; w < cfg.workers; w++ {
 		go func() {
 			defer wg.Done()
-			var scratch edram.Macro
+			var c cursor
 			slots := s.memo.table()
-			for blk := cursor.Add(1); blk <= last; blk = cursor.Add(1) {
+			for blk := claimed.Add(1); blk <= last; blk = claimed.Add(1) {
 				select {
 				case <-ctx.Done():
 					return
 				default:
 				}
 				b := getBatch(span, observed)
-				s.space.walkBlock(ranges, int(blk), func(p Point) {
+				s.space.walkBlock(ranges, int(blk), &c, func() {
 					var cand *Candidate // the observer's, if any
 					if observed {
 						cand = &b.cands[b.n]
 					}
-					s.memo.evaluate(&b.outs[b.n], cand, &p, slots, &scratch)
+					s.memo.evaluate(&b.outs[b.n], cand, &c, slots)
 					b.n++
 				})
 				if b.n == 0 { // the plan skips the whole block
@@ -592,12 +611,12 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 	// Collector: the calling goroutine owns the fold, so observer and
 	// progress callbacks need no locking. After a cancellation it only
 	// drains, until the workers have exited.
-	var f fold
+	f := newFold()
 	skipped, skippedBuildable := s.plan.tally(s.from, s.to)
 	snapshot := func(done bool) ExploreStats {
 		return ExploreStats{
 			Enumerated: f.enumerated, Built: f.built, Infeasible: f.infeasible,
-			Pruned: f.front.Pruned(), FrontSize: f.front.Size(),
+			Pruned: f.front.pruned, FrontSize: len(f.front.recs),
 			Skipped: skipped, SkippedBuildable: skippedBuildable,
 			Workers: cfg.workers, WallTime: time.Since(start), Done: done,
 		}
@@ -699,14 +718,94 @@ func CloserMiss(c, nearest *Candidate) bool {
 	}
 }
 
-// Frontier maintains a Pareto front incrementally: Add keeps a
-// candidate only while no member dominates it and evicts members the
-// newcomer dominates. Because dominance is a strict partial order, the
-// final front is independent of insertion order — the property the
-// parallel engine relies on for deterministic results.
+// front is the one Pareto-front implementation: an incremental scan over
+// evaluation records, behind both the sweep's fold (records only) and
+// the exported Frontier (each member's full Candidate in cands, beside
+// its record). add keeps a record only while no member dominates it and
+// evicts members the newcomer dominates. Because dominance is a strict
+// partial order, the final membership is independent of insertion
+// order — the property the parallel engine relies on for deterministic
+// results.
+type front struct {
+	recs   []pointEval
+	cands  []Candidate // parallel to recs in a Frontier; nil in a fold
+	pruned int64
+}
+
+// add offers a record to the front, with its candidate when the front
+// keeps candidates (c nil otherwise), and reports whether it entered.
+func (f *front) add(ev *pointEval, c *Candidate) bool {
+	// Single pass over the members: dominance is a strict partial order
+	// and the members are mutually non-dominated, so if some member
+	// dominates ev, then ev dominates no member (otherwise transitivity
+	// would order two members against each other). The scan can
+	// therefore evict ev-dominated members in place as it goes and still
+	// abort unchanged the moment a dominator of ev appears — no member
+	// can have been evicted by then. Compaction moves an element only
+	// after the first eviction, so the common no-eviction add copies
+	// nothing at all.
+	w := 0
+	for i := range f.recs {
+		m := &f.recs[i]
+		if dominates(m, ev) {
+			f.pruned++
+			return false
+		}
+		if dominates(ev, m) {
+			f.pruned++
+			continue
+		}
+		if w != i {
+			f.recs[w] = f.recs[i]
+			if c != nil {
+				f.cands[w] = f.cands[i]
+			}
+		}
+		w++
+	}
+	f.recs = append(f.recs[:w], *ev)
+	if c != nil {
+		f.cands = append(f.cands[:w], *c)
+	}
+	return true
+}
+
+// Len, Less and Swap put the members in canonical order: area, power,
+// cost, descending sustained bandwidth, enumeration sequence. The chain
+// of exact comparisons builds a total order over identical evaluation
+// results — tolerance would break transitivity and with it the
+// canonical front order. Swap moves a member's candidate with its
+// record.
+func (f *front) Len() int           { return len(f.recs) }
+func (f *front) Less(i, j int) bool { return canonicalLess(&f.recs[i], &f.recs[j]) }
+func (f *front) Swap(i, j int) {
+	f.recs[i], f.recs[j] = f.recs[j], f.recs[i]
+	if f.cands != nil {
+		f.cands[i], f.cands[j] = f.cands[j], f.cands[i]
+	}
+}
+
+// canonicalLess is the canonical order of evaluation records, the one
+// every returned front is sorted in.
+func canonicalLess(a, b *pointEval) bool {
+	switch {
+	case a.area != b.area: //nolint:edramvet/floateq // exact total-order tie-break
+		return a.area < b.area
+	case a.power != b.power: //nolint:edramvet/floateq // exact total-order tie-break
+		return a.power < b.power
+	case a.cost != b.cost: //nolint:edramvet/floateq // exact total-order tie-break
+		return a.cost < b.cost
+	case a.sustained != b.sustained: //nolint:edramvet/floateq // exact total-order tie-break
+		return a.sustained > b.sustained
+	default:
+		return a.seq < b.seq
+	}
+}
+
+// Frontier maintains a Pareto front of candidates incrementally, through
+// the same record scan as the sweep's fold.
 type Frontier struct {
-	members []Candidate
-	pruned  int64
+	f front
 }
 
 // NewFrontier returns an empty front.
@@ -715,75 +814,26 @@ func NewFrontier() *Frontier { return &Frontier{} }
 // Add offers a candidate to the front and reports whether it entered.
 // Infeasible candidates are ignored (the front is defined over designs
 // meeting every requirement).
-func (f *Frontier) Add(c Candidate) bool {
+func (fr *Frontier) Add(c Candidate) bool {
 	if !c.Feasible {
 		return false
 	}
-	// Single pass over the members: dominance is a strict partial order
-	// and the members are mutually non-dominated, so if some member
-	// dominates c, then c dominates no member (otherwise transitivity
-	// would order two members against each other). The scan can
-	// therefore evict c-dominated members in place as it goes and still
-	// abort unchanged the moment a dominator of c appears — no member
-	// can have been evicted by then. Compaction moves an element only
-	// after the first eviction, so the common no-eviction Add copies
-	// nothing at all.
-	w := 0
-	for i := range f.members {
-		m := &f.members[i]
-		if dominates(m, &c) {
-			f.pruned++
-			return false
-		}
-		if dominates(&c, m) {
-			f.pruned++
-			continue
-		}
-		if w != i {
-			f.members[w] = f.members[i]
-		}
-		w++
-	}
-	f.members = append(f.members[:w], c)
-	return true
+	ev := recordOf(&c)
+	return fr.f.add(&ev, &c)
 }
 
 // Size is the current front population.
-func (f *Frontier) Size() int { return len(f.members) }
+func (fr *Frontier) Size() int { return len(fr.f.recs) }
 
 // Pruned counts feasible candidates discarded so far (dominated on
 // arrival or evicted later).
-func (f *Frontier) Pruned() int64 { return f.pruned }
+func (fr *Frontier) Pruned() int64 { return fr.f.pruned }
 
 // Candidates returns the front in canonical order (area, power, cost,
 // descending sustained bandwidth, enumeration sequence).
-func (f *Frontier) Candidates() []Candidate {
-	out := append([]Candidate(nil), f.members...)
-	sortCandidates(out)
-	return out
-}
-
-// sortCandidates orders candidates deterministically regardless of the
-// arrival order the worker pool produced.
-func sortCandidates(cs []Candidate) {
-	sort.Slice(cs, func(i, j int) bool {
-		a, b := cs[i], cs[j]
-		// The chain of exact comparisons builds a total order over
-		// identical evaluation results — tolerance would break
-		// transitivity and with it the canonical front order.
-		switch {
-		case a.AreaMm2 != b.AreaMm2: //nolint:edramvet/floateq // exact total-order tie-break
-			return a.AreaMm2 < b.AreaMm2
-		case a.PowerMW != b.PowerMW: //nolint:edramvet/floateq // exact total-order tie-break
-			return a.PowerMW < b.PowerMW
-		case a.CostUSD != b.CostUSD: //nolint:edramvet/floateq // exact total-order tie-break
-			return a.CostUSD < b.CostUSD
-		case a.SustainedGBps != b.SustainedGBps: //nolint:edramvet/floateq // exact total-order tie-break
-			return a.SustainedGBps > b.SustainedGBps
-		default:
-			return a.Seq < b.Seq
-		}
-	})
+func (fr *Frontier) Candidates() []Candidate {
+	sort.Sort(&fr.f)
+	return append([]Candidate(nil), fr.f.cands...)
 }
 
 // Quantize reduces a feasible Pareto front to at most four named picks
@@ -793,29 +843,43 @@ func Quantize(front []Candidate) []Recommendation {
 	if len(front) == 0 {
 		return nil
 	}
-	pick := func(better func(a, b Candidate) bool) Candidate {
-		best := front[0]
-		for _, c := range front[1:] {
-			if better(c, best) {
-				best = c
+	// pick is the index of the first candidate no later one beats.
+	pick := func(better func(a, b *Candidate) bool) int {
+		best := 0
+		for i := 1; i < len(front); i++ {
+			if better(&front[i], &front[best]) {
+				best = i
 			}
 		}
 		return best
 	}
-	recs := []Recommendation{
-		{Role: "min-area", Candidate: pick(func(a, b Candidate) bool { return a.AreaMm2 < b.AreaMm2 })},
-		{Role: "min-power", Candidate: pick(func(a, b Candidate) bool { return a.PowerMW < b.PowerMW })},
-		{Role: "max-bandwidth", Candidate: pick(func(a, b Candidate) bool { return a.SustainedGBps > b.SustainedGBps })},
-		{Role: "min-cost", Candidate: pick(func(a, b Candidate) bool { return a.CostUSD < b.CostUSD })},
+	picks := [...]struct {
+		role string
+		i    int
+	}{
+		{"min-area", pick(func(a, b *Candidate) bool { return a.AreaMm2 < b.AreaMm2 })},
+		{"min-power", pick(func(a, b *Candidate) bool { return a.PowerMW < b.PowerMW })},
+		{"max-bandwidth", pick(func(a, b *Candidate) bool { return a.SustainedGBps > b.SustainedGBps })},
+		{"min-cost", pick(func(a, b *Candidate) bool { return a.CostUSD < b.CostUSD })},
 	}
-	// Deduplicate identical picks, keeping the first role.
-	var out []Recommendation
-	seen := map[string]bool{}
-	for _, r := range recs {
-		k := fmt.Sprintf("%d/%d/%d/%d/%d/%v/%v", r.Macros, r.Spec.InterfaceBits, r.Spec.Banks, r.Spec.PageBits, r.Spec.BlockBits, r.Spec.Redundancy, r.Spec.ECC)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
+	// Deduplicate identical configurations, keeping the first role.
+	type config struct {
+		macros, iface, banks, page, block int
+		red                               edram.RedundancyLevel
+		ecc                               reliab.ECC
+	}
+	var seen [len(picks)]config
+	out := make([]Recommendation, 0, len(picks))
+	for _, p := range picks {
+		c := &front[p.i]
+		k := config{c.Macros, c.Spec.InterfaceBits, c.Spec.Banks, c.Spec.PageBits, c.Spec.BlockBits, c.Spec.Redundancy, c.Spec.ECC}
+		dup := false
+		for _, s := range seen[:len(out)] {
+			dup = dup || s == k
+		}
+		if !dup {
+			seen[len(out)] = k
+			out = append(out, Recommendation{Role: p.role, Candidate: *c})
 		}
 	}
 	return out

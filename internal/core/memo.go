@@ -23,19 +23,21 @@ import (
 	"edram/internal/tech"
 )
 
-// memoSlot is one memoized bundle: the macro template plus the die-cost
-// results. Both depend only on the point's digits other than the page
-// — the die cost reads the template's (page-independent) area, the
-// macro count (the org digit) and the explore's fixed defect density.
-// proj is the projection the slot was last filled for (space.proj: the
-// Seq with its page digit removed), -1 before the first fill. ok false
-// marks that projection unbuildable.
+// memoSlot is one memoized bundle: the macro template, the die-cost
+// results and the page-independent part of the evaluation record. All
+// depend only on the point's digits other than the page — the die cost
+// reads the template's (page-independent) area, the macro count (the
+// org digit) and the explore's fixed defect density. proj is the
+// projection the slot was last filled for (space.proj: the Seq with its
+// page digit removed), -1 before the first fill. ok false marks that
+// projection unbuildable.
 type memoSlot struct {
-	proj       int
-	ok         bool
-	tmpl       edram.Template
-	dieCostUSD float64
-	dieYield   float64
+	proj     int
+	ok       bool
+	macros   int
+	tmpl     edram.Template
+	pe       projEval // area, die cost, sustained bandwidth and clock
+	dieYield float64
 }
 
 // evalMemo is what a sweep's workers share to evaluate its points: the
@@ -71,56 +73,89 @@ func (mm *evalMemo) table() []memoSlot {
 	return slots
 }
 
-// evaluate is a worker's per-point work: it refills the point's slot
-// in place unless the slot already holds the point's projection,
-// instantiates the point into the worker's scratch macro and writes its
-// outcome — the evaluation record and violation mask, or unbuildable.
-// The record's floats are byte-for-byte those of the unmemoized
-// evaluate (both run measure). For a sweep with an observer (cand
-// non-nil) it also assembles the full candidate into *cand, on a macro
-// of its own, through scoreCandidate, so the observer's candidates are
+// fill builds the slot for the projection of pt: the template, the die
+// cost and the page-independent record floats, each computed as
+// measure computes it from the instantiated Macro.
+func (mm *evalMemo) fill(sl *memoSlot, pt *Point) {
+	t := &sl.tmpl
+	err := t.Reset(pt.Spec)
+	if err == nil {
+		sl.pe.cost, sl.dieYield, err = cost.MacroDieCost(t.Process(), 0,
+			float64(pt.Macros)*t.TotalAreaMm2(), mm.req.DefectsPerCm2, repairFractionFor(pt.Spec.Redundancy))
+	}
+	if sl.ok = err == nil; !sl.ok {
+		return
+	}
+	n := float64(pt.Macros)
+	g := t.Geometry()
+	sl.macros = pt.Macros
+	sl.pe.area = n * t.TotalAreaMm2()
+	sl.pe.sustained = n * sustainedGBps(t.Timing(), g.Banks, g.InterfaceBits, t.ClockMHz(), mm.req.HitRate)
+	sl.pe.clock = t.ClockMHz()
+}
+
+// record is the evaluation record of a built point of the slot's
+// projection: the slot's page-independent floats plus the power at the
+// point's page length, from the template — no Macro is built. It is
+// bit for bit measure over the instantiated Macro (both run the same
+// power and sustained-bandwidth helpers on the same inputs; pinned by
+// TestRecordMatchesMacro).
+func (mm *evalMemo) record(seq int, sl *memoSlot, pageBits int) pointEval {
+	p := sl.tmpl.Power(pageBits, &mm.e, &mm.ce, 1.0, mm.req.HitRate)
+	return pointEval{seq, sl.pe.area, float64(sl.macros) * p.TotalMW, sl.pe.cost, sl.pe.sustained, sl.pe.clock}
+}
+
+// evaluate is a worker's per-point work for the point at cursor c: it
+// refills the point's slot in place unless the slot already holds the
+// point's projection and writes its outcome — the evaluation record
+// (from the template) and violation mask, or unbuildable. For a sweep
+// with an observer (cand non-nil) it also assembles the full candidate
+// into *cand, on a macro of its own, so the observer's candidates are
 // built on the workers.
-func (mm *evalMemo) evaluate(o *outcome, cand *Candidate, pt *Point, slots []memoSlot, scratch *edram.Macro) {
-	sl := &slots[pt.Seq%len(slots)]
-	if proj := mm.space.proj(pt.Seq); sl.proj != proj {
-		err := sl.tmpl.Reset(pt.Spec)
-		if err == nil {
-			sl.dieCostUSD, sl.dieYield, err = cost.MacroDieCost(sl.tmpl.Process(), 0,
-				float64(pt.Macros)*sl.tmpl.TotalAreaMm2(), mm.req.DefectsPerCm2, repairFractionFor(pt.Spec.Redundancy))
-		}
-		sl.proj, sl.ok = proj, err == nil
+func (mm *evalMemo) evaluate(o *outcome, cand *Candidate, c *cursor, slots []memoSlot) {
+	sp := mm.space
+	sl := &slots[c.seq%len(slots)]
+	if proj := sp.proj(c.seq); sl.proj != proj {
+		pt := sp.at(c.seq, &c.d)
+		mm.fill(sl, &pt)
+		sl.proj = proj
 	}
-	if o.ok = sl.ok && sl.tmpl.PageFits(pt.Spec.PageBits); !o.ok {
+	pageBits := sweepIfaceBits[c.d[digitIface]] * sweepPageMults[c.d[digitPage]]
+	if o.ok = sl.ok && sl.tmpl.PageFits(pageBits); !o.ok {
 		return
 	}
-	m := scratch
-	if cand != nil {
-		m = new(edram.Macro) // the observer's candidate keeps it
-	}
-	if o.ok = sl.tmpl.InstantiateInto(m, pt.Spec.PageBits) == nil; !o.ok {
-		return
-	}
-	o.ev = measure(pt.Seq, m, pt.Macros, &mm.req, mm.e, mm.ce, sl.dieCostUSD)
+	o.ev = mm.record(c.seq, sl, pageBits)
 	o.viol = violations(&o.ev, &mm.req)
 	if cand != nil {
-		*cand = scoreCandidate(pt.Spec, pt.Macros, m, mm.req, mm.e, mm.ce, sl.dieCostUSD, sl.dieYield)
-		cand.Seq = pt.Seq
+		pt := sp.at(c.seq, &c.d)
+		*cand = mm.materialize(sl, &pt)
 	}
+}
+
+// materialize assembles the full Candidate of a built point from its
+// filled slot: a Macro of its own, scored through scoreCandidate.
+func (mm *evalMemo) materialize(sl *memoSlot, pt *Point) Candidate {
+	m := new(edram.Macro) // the candidate keeps it
+	if err := sl.tmpl.InstantiateInto(m, pt.Spec.PageBits); err != nil {
+		panic(fmt.Sprintf("core: materializing seq %d: %v", pt.Seq, err))
+	}
+	c := scoreCandidate(pt.Spec, pt.Macros, m, &mm.req, &mm.e, &mm.ce, sl.pe.cost, sl.dieYield)
+	c.Seq = pt.Seq
+	return c
 }
 
 // candidate materializes the full Candidate of a built point from its
 // Seq alone: the space's point evaluated as an observed sweep would,
-// through a one-slot table on the stack — the same pure computations
-// the worker ran, so the bytes match the record it emitted. It is the
-// only way the fold and DeltaExplore turn a record into a Candidate. A
-// Seq that has a record is buildable by construction; any other is a
-// programming error.
+// through a slot on the stack — the same pure computations the worker
+// ran, so the bytes match the record it emitted. It is the only way
+// the fold and DeltaExplore turn a record into a Candidate. A Seq that
+// has a record is buildable by construction; any other is a programming
+// error.
 func (mm *evalMemo) candidate(seq int) Candidate {
 	pt := mm.space.point(seq)
-	var o outcome
-	var c Candidate
-	if mm.evaluate(&o, &c, &pt, []memoSlot{{proj: -1}}, nil); !o.ok {
+	var sl memoSlot
+	if mm.fill(&sl, &pt); !sl.ok || !sl.tmpl.PageFits(pt.Spec.PageBits) {
 		panic(fmt.Sprintf("core: materializing seq %d, which has no evaluation record", seq))
 	}
-	return c
+	return mm.materialize(&sl, &pt)
 }

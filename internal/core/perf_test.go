@@ -22,7 +22,7 @@ func exploreUnmemoized(t *testing.T, r Requirements) []Candidate {
 	ce := power.DefaultCoreEnergy()
 	var out []Candidate
 	for _, pt := range referencePoints(r, resolveProcesses(r)) {
-		c, err := evaluate(pt.Spec, pt.Macros, r, e, ce)
+		c, err := evaluate(pt.Spec, pt.Macros, &r, &e, &ce)
 		if err != nil {
 			continue // unbuildable corner, same as the engine's !ok
 		}
@@ -182,20 +182,89 @@ func TestFailReasonMatchesSprintf(t *testing.T) {
 }
 
 // BenchmarkFrontierAdd measures the incremental Pareto front's insert
-// cost over a full sweep's worth of candidates in canonical order — the
-// collector's hot loop.
+// cost over a full sweep's worth of points in canonical order. "fold"
+// is what the sweep's collector runs: every built point's record
+// through the fold, its front presized. "Frontier.Add" offers the full
+// candidates to an exported Frontier, as SweepResult.Merge does.
 func BenchmarkFrontierAdd(b *testing.B) {
-	cands, err := Explore(req())
+	r := req()
+	cands, err := Explore(r)
 	if err != nil {
 		b.Fatal(err)
 	}
+	recs := make([]pointEval, len(cands))
+	viols := make([]uint8, len(cands))
+	for i := range cands {
+		recs[i] = recordOf(&cands[i])
+		viols[i] = violations(&recs[i], &r)
+	}
+	b.Run("fold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f := newFold()
+			for j := range recs {
+				f.add(&recs[j], viols[j])
+			}
+		}
+		b.ReportMetric(float64(len(recs)), "records/front")
+	})
+	b.Run("Frontier.Add", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f := NewFrontier()
+			for j := range cands {
+				f.Add(cands[j])
+			}
+		}
+		b.ReportMetric(float64(len(cands)), "cands/front")
+	})
+}
+
+// BenchmarkTemplateReset measures one projection's template build: the
+// slot fill a sweep worker runs once per projection (template, die cost
+// and the page-independent record floats), cycling through the
+// projections of the 16-Mbit space.
+func BenchmarkTemplateReset(b *testing.B) {
+	r := req()
+	sp := newSpace(r, resolveProcesses(r))
+	mm := newEvalMemo(r, sp)
+	var pts []Point
+	for seq := 0; seq < sp.total; seq++ {
+		if sp.digits(seq)[digitPage] == 0 { // one point per projection
+			pts = append(pts, sp.point(seq))
+		}
+	}
+	var sl memoSlot
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewFrontier()
-		for j := range cands {
-			f.Add(cands[j])
-		}
+		mm.fill(&sl, &pts[i%len(pts)])
 	}
-	b.ReportMetric(float64(len(cands)), "cands/front")
+}
+
+// BenchmarkEvaluatePoints measures one above-page block through
+// evaluate, as a worker runs it: every projection's slot refilled, then
+// every page variant measured from its template.
+func BenchmarkEvaluatePoints(b *testing.B) {
+	r := req()
+	sp := newSpace(r, resolveProcesses(r))
+	mm := newEvalMemo(r, sp)
+	ranges := []seqRange{{0, sp.total}}
+	blk := sp.total / sp.blockSpan() / 2
+	slots := mm.table()
+	outs := make([]outcome, sp.blockSpan())
+	var c cursor
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range slots {
+			slots[j].proj = -1
+		}
+		n := 0
+		sp.walkBlock(ranges, blk, &c, func() {
+			mm.evaluate(&outs[n], nil, &c, slots)
+			n++
+		})
+	}
+	b.ReportMetric(float64(sp.blockSpan()), "points/op")
 }

@@ -27,7 +27,6 @@ import (
 	"edram/internal/geom"
 	"edram/internal/reliab"
 	"edram/internal/tech"
-	"edram/internal/timing"
 	"edram/internal/units"
 )
 
@@ -84,20 +83,8 @@ func structBuildable(spec edram.Spec) bool {
 	if spec.Banks > blocks || blocks%spec.Banks != 0 {
 		return false
 	}
-	return spec.PageBits <= geom.MacroGeometry{BlockBits: spec.BlockBits, Blocks: blocks, Banks: spec.Banks}.MaxPageBits()
-}
-
-// blockClock returns the sweep's operating clock for a building block
-// (TargetClockMHz is always zero in the sweep, so the clock is the
-// array maximum, a function of the block geometry alone).
-func blockClock(block int) (float64, bool) {
-	g := geom.MacroGeometry{BlockBits: block}
-	org := timing.Organization{PageBits: g.BlockColumns(), RowsPerBank: g.BlockRows()}
-	tm, err := timing.ArrayTiming(tech.PC100(), org)
-	if err != nil {
-		return 0, false
-	}
-	return timing.MaxClockMHz(tm), true
+	g := geom.MacroGeometry{BlockBits: spec.BlockBits, Blocks: blocks, Banks: spec.Banks}
+	return spec.PageBits <= g.MaxPageBits()
 }
 
 // cornerAreaMm2 returns the minimal candidate area of the (macros,
@@ -208,24 +195,24 @@ func newPrunePlan(req Requirements, sp *space) *prunePlan {
 		return &prunePlan{}
 	}
 
+	// The sweep's operating clock of each building block: TargetClockMHz
+	// is always zero in the sweep, so it is the array maximum, a
+	// function of the block alone.
 	clocks := make([]float64, len(sweepBlockBits))
-	clockOK := make([]bool, len(sweepBlockBits))
 	for bi, block := range sweepBlockBits {
-		clocks[bi], clockOK[bi] = blockClock(block)
+		clocks[bi] = edram.BlockClockMHz(block)
 	}
 	// infeasible reports whether every buildable point of one
 	// (organization, interface, block) subspace fails a constraint.
 	infeasible := func(macros, iface, bi int) bool {
-		if clockOK[bi] {
-			if req.MinClockMHz > 0 && clocks[bi] < req.MinClockMHz {
-				// Exactly the scoreCandidate clock check: the clock is
-				// identical for every candidate with this block.
-				return true
-			}
-			peak := float64(macros) * units.BandwidthGBps(iface, clocks[bi])
-			if peak*bwPruneSlack < req.BandwidthGBps {
-				return true
-			}
+		if req.MinClockMHz > 0 && clocks[bi] < req.MinClockMHz {
+			// Exactly the scoreCandidate clock check: the clock is
+			// identical for every candidate with this block.
+			return true
+		}
+		peak := float64(macros) * units.BandwidthGBps(iface, clocks[bi])
+		if peak*bwPruneSlack < req.BandwidthGBps {
+			return true
 		}
 		if req.MaxAreaMm2 <= 0 || p.nValid == 0 {
 			return false

@@ -205,8 +205,9 @@ func drainSweep(t *testing.T, req Requirements) []Point {
 	sp := newSpace(req, resolveProcesses(req))
 	ranges := (&prunePlan{}).enumerated(0, sp.total)
 	var out []Point
+	var c cursor
 	for blk := 0; blk <= (sp.total-1)/sp.blockSpan(); blk++ {
-		sp.walkBlock(ranges, blk, func(p Point) { out = append(out, p) })
+		sp.walkBlock(ranges, blk, &c, func() { out = append(out, sp.at(c.seq, &c.d)) })
 	}
 	return out
 }
@@ -234,7 +235,8 @@ func TestPointAtInvertsSweep(t *testing.T) {
 		for _, from := range []int{0, 1, 7, sp.total / 3, sp.total - 5} {
 			to := min(from+200, sp.total)
 			var got []Point
-			sp.walk(from, to, func(p Point) { got = append(got, p) })
+			var c cursor
+			sp.walk(from, to, &c, func() { got = append(got, sp.at(c.seq, &c.d)) })
 			if !reflect.DeepEqual(got, ref[from:to]) {
 				t.Fatalf("walk(%d, %d) differs from the reference", from, to)
 			}

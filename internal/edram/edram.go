@@ -197,17 +197,52 @@ func Build(spec Spec) (*Macro, error) {
 // the area breakdown — none of which depend on Spec.PageBits (the page
 // spans blocks fired in parallel; it changes activation energy and
 // row-buffer behaviour, not the floorplan or the block timing).
-// Instantiate stamps out the full Macro for one page length. A Template
-// is unchanged by Instantiate and safe for concurrent Instantiate calls
-// until its next Reset; the design explorer builds one Template per
-// unique projection so the sweep's page-length variants share the
-// expensive sub-models.
+// Instantiate stamps out the full Macro for one page length; Power
+// evaluates one page length without building it. A Template is
+// unchanged by Instantiate and Power and safe for concurrent use until
+// its next Reset; the design explorer builds one Template per unique
+// projection so the sweep's page-length variants share the expensive
+// sub-models.
 type Template struct {
-	spec   Spec // as given to Reset; PageBits replaced per Instantiate
-	geo    geom.MacroGeometry
-	area   geom.AreaBreakdown
-	timing tech.SDRAMTiming
-	clock  float64
+	spec    Spec // as given to Reset; PageBits replaced per Instantiate
+	geo     geom.MacroGeometry
+	area    geom.AreaBreakdown
+	timing  tech.SDRAMTiming
+	clock   float64
+	maxPage int // geo.MaxPageBits()
+}
+
+// blockTimings is the array timing of each building block, indexed by
+// blockIndex. Timing follows the physical building block — wordline and
+// bitline lengths are per block; blocks fire in parallel to form the
+// page — so it is a pure function of the block size, computed once
+// instead of once per template.
+var blockTimings = func() (t [2]tech.SDRAMTiming) {
+	for i, bits := range [2]int{geom.Block256K, geom.Block1M} {
+		g := geom.MacroGeometry{BlockBits: bits}
+		tm, err := timing.ArrayTiming(tech.PC100(), timing.Organization{PageBits: g.BlockColumns(), RowsPerBank: g.BlockRows()})
+		if err != nil {
+			panic(fmt.Sprintf("edram: timing of the %d-bit block: %v", bits, err))
+		}
+		t[i] = tm
+	}
+	return t
+}()
+
+// blockIndex is the blockTimings index of an offered block size.
+func blockIndex(blockBits int) int {
+	if blockBits == geom.Block1M {
+		return 1
+	}
+	return 0
+}
+
+// BlockClockMHz is the maximum interface clock of a macro built from
+// blocks of blockBits, an offered block size (geom.Block256K or
+// geom.Block1M): the clock of every template of that block without a
+// lower TargetClockMHz.
+func BlockClockMHz(blockBits int) float64 {
+	return timing.MaxClockMHz(blockTimings[blockIndex(blockBits)])
 }
 
 // NewTemplate validates and derives everything about the spec except
@@ -226,10 +261,6 @@ func NewTemplate(spec Spec) (*Template, error) {
 // its slots in place). On success *t is fully overwritten; on error it
 // is left untouched. A valid spec allocates nothing.
 func (t *Template) Reset(spec Spec) error {
-	proc := tech.Siemens024()
-	if spec.Process != nil {
-		proc = *spec.Process
-	}
 	if spec.CapacityMbit <= 0 {
 		return fmt.Errorf("edram: capacity must be positive, got %d Mbit", spec.CapacityMbit)
 	}
@@ -272,50 +303,39 @@ func (t *Template) Reset(spec Spec) error {
 	}
 
 	g := geom.MacroGeometry{
-		Process:       proc,
 		BlockBits:     blockBits,
 		Blocks:        blocks,
 		Banks:         banks,
 		InterfaceBits: spec.InterfaceBits,
 		WithBIST:      !spec.SkipBIST,
 	}
+	if spec.Process != nil {
+		g.Process = *spec.Process
+	} else {
+		g.Process = tech.Siemens024()
+	}
 	g.SpareRowsPerBlock, g.SpareColsPerBlock = spec.Redundancy.Spares()
 	g.ECCOverheadFrac = spec.ECC.StorageOverhead(spec.InterfaceBits)
 
-	if err := g.ValidateSansPage(); err != nil {
-		return err
-	}
-
-	// Timing follows the physical building block (wordline and bitline
-	// lengths are per block; blocks fire in parallel to form the page).
-	org := timing.Organization{PageBits: g.BlockColumns(), RowsPerBank: g.BlockRows()}
-	tm, err := timing.ArrayTiming(tech.PC100(), org)
+	// The area model never reads PageBits: one validation of everything
+	// else covers the area and every page length's geometry.
+	area, err := g.AreaSansPage()
 	if err != nil {
 		return err
 	}
+	tm := blockTimings[blockIndex(blockBits)]
 	clock := timing.MaxClockMHz(tm)
 	if spec.TargetClockMHz > 0 && spec.TargetClockMHz < clock {
 		clock = spec.TargetClockMHz
 		tm.TCKns = units.MHzToNs(clock)
 	}
 
-	// The area model never reads PageBits, but geom's strict validation
-	// does — compute the breakdown under the minimal valid page length
-	// (the interface width, always within the bank's column span once
-	// ValidateSansPage has passed).
-	ga := g
-	ga.PageBits = g.InterfaceBits
-	area, err := ga.Area()
-	if err != nil {
-		return err
-	}
-	*t = Template{
-		spec:   spec,
-		geo:    g,
-		area:   area,
-		timing: tm,
-		clock:  clock,
-	}
+	t.spec = spec
+	t.geo = g
+	t.area = area
+	t.timing = tm
+	t.clock = clock
+	t.maxPage = g.MaxPageBits()
 	return nil
 }
 
@@ -326,6 +346,17 @@ func (t *Template) TotalAreaMm2() float64 { return t.area.TotalMm2 }
 // Process is the resolved base process of the template (the spec's, or
 // the default when the spec left it nil).
 func (t *Template) Process() tech.Process { return t.geo.Process }
+
+// Geometry is the template's organization with PageBits unset. The
+// caller must not modify it.
+func (t *Template) Geometry() *geom.MacroGeometry { return &t.geo }
+
+// Timing is the timing of every instantiation (the block timing at the
+// operating clock). The caller must not modify it.
+func (t *Template) Timing() *tech.SDRAMTiming { return &t.timing }
+
+// ClockMHz is the operating interface clock of every instantiation.
+func (t *Template) ClockMHz() float64 { return t.clock }
 
 // Instantiate completes the build for one page length: 0 auto-derives
 // the default (8x the interface width, capped by the bank's column
@@ -340,28 +371,27 @@ func (t *Template) Instantiate(pageBits int) (*Macro, error) {
 	return m, nil
 }
 
-// PageFits reports whether Instantiate accepts pageBits, by the rule
-// ValidatePage applies but without building its error.
-func (t *Template) PageFits(pageBits int) bool { return t.geometry(pageBits).PageFits() }
-
-// geometry is the template's geometry at one page length: 0 derives
-// the default (8x the interface width, capped by the bank's column
-// span).
-func (t *Template) geometry(pageBits int) geom.MacroGeometry {
-	g := t.geo
-	g.PageBits = pageBits
+// page resolves a page length: 0 derives the default (8x the interface
+// width, capped by the bank's column span).
+func (t *Template) page(pageBits int) int {
 	if pageBits == 0 {
-		g.PageBits = min(g.InterfaceBits*8, g.MaxPageBits())
+		return min(t.geo.InterfaceBits*8, t.maxPage)
 	}
-	return g
+	return pageBits
 }
 
-// InstantiateInto is Instantiate writing into caller-provided storage
-// (the design explorer evaluates every point into one scratch Macro
-// per worker). On success *m is fully overwritten; on error it is left
-// untouched.
+// PageFits reports whether Instantiate accepts pageBits, by the rule
+// ValidatePage applies but without building a geometry or its error.
+func (t *Template) PageFits(pageBits int) bool {
+	p := t.page(pageBits)
+	return p > 0 && p >= t.geo.InterfaceBits && p <= t.maxPage
+}
+
+// InstantiateInto is Instantiate writing into caller-provided storage.
+// On success *m is fully overwritten; on error it is left untouched.
 func (t *Template) InstantiateInto(m *Macro, pageBits int) error {
-	g := t.geometry(pageBits)
+	g := t.geo
+	g.PageBits = t.page(pageBits)
 	if err := g.ValidatePage(); err != nil {
 		return err
 	}
@@ -369,6 +399,14 @@ func (t *Template) InstantiateInto(m *Macro, pageBits int) error {
 	spec.PageBits = pageBits
 	*m = Macro{Spec: spec, Geometry: g, Area: t.area, Timing: t.timing, ClockMHz: t.clock}
 	return nil
+}
+
+// Power is the Power of the macro Instantiate(pageBits) builds,
+// computed from the template without building it: the same formula on
+// the same inputs, so the floats are identical. pageBits must fit
+// (PageFits).
+func (t *Template) Power(pageBits int, e *tech.Electrical, ce *power.CoreEnergy, utilization, hitRate float64) PowerReport {
+	return powerAt(&t.geo, t.page(pageBits), t.clock, e, ce, utilization, hitRate)
 }
 
 // CapacityMbit returns the usable capacity.
@@ -414,20 +452,28 @@ type PowerReport struct {
 // Power evaluates the macro at the given utilization (fraction of clocks
 // carrying transfers) and page-hit rate.
 func (m *Macro) Power(e tech.Electrical, ce power.CoreEnergy, utilization, hitRate float64) PowerReport {
+	return powerAt(&m.Geometry, m.Geometry.PageBits, m.ClockMHz, &e, &ce, utilization, hitRate)
+}
+
+// powerAt is the one macro power formula, behind Macro.Power and
+// Template.Power: geometry g with a page of pageBits, clocked at
+// clockMHz. The capacity is the geometry's (blocks × block size, which
+// Reset derives from the spec's capacity exactly).
+func powerAt(g *geom.MacroGeometry, pageBits int, clockMHz float64, e *tech.Electrical, ce *power.CoreEnergy, utilization, hitRate float64) PowerReport {
 	utilization = units.Clamp(utilization, 0, 1)
 	hitRate = units.Clamp(hitRate, 0, 1)
 
 	var r PowerReport
-	r.InterfaceMW = power.OnChipBus(e, m.Geometry.InterfaceBits, m.ClockMHz*utilization, m.Geometry.Process.VddDRAMV).PowerMW
+	r.InterfaceMW = power.InterfacePowerMW(g.InterfaceBits, e.OnChipLoadPF, g.Process.VddDRAMV, clockMHz*utilization, e.SwitchingActivity)
 
-	accessesPerSec := m.ClockMHz * 1e6 * utilization
+	accessesPerSec := clockMHz * 1e6 * utilization
 	activatesPerSec := accessesPerSec * (1 - hitRate)
-	r.ActivateMW = activatesPerSec * ce.ActivateEnergyPJ(m.Geometry.PageBits) * 1e-9 // pJ/s -> mW
-	bitsPerSec := accessesPerSec * float64(m.Geometry.InterfaceBits)
+	r.ActivateMW = activatesPerSec * ce.ActivateEnergyPJ(pageBits) * 1e-9 // pJ/s -> mW
+	bitsPerSec := accessesPerSec * float64(g.InterfaceBits)
 	r.ColumnMW = bitsPerSec * ce.ColumnPJPerBit * 1e-9
 
-	totalBits := m.CapacityMbit() * units.Mbit
-	r.RefreshMW = ce.RefreshPowerMW(totalBits, m.Geometry.PageBits, m.Geometry.Process.RetentionMs)
+	totalBits := g.TotalBits()
+	r.RefreshMW = ce.RefreshPowerMW(totalBits, pageBits, g.Process.RetentionMs)
 	r.StandbyMW = ce.StandbyPowerMW(totalBits)
 	r.TotalMW = r.InterfaceMW + r.ActivateMW + r.ColumnMW + r.RefreshMW + r.StandbyMW
 	return r

@@ -74,16 +74,16 @@ type MacroGeometry struct {
 }
 
 // TotalBits returns the usable macro capacity in bits (spares excluded).
-func (g MacroGeometry) TotalBits() int { return g.BlockBits * g.Blocks }
+func (g *MacroGeometry) TotalBits() int { return g.BlockBits * g.Blocks }
 
 // BlockColumns returns the number of columns (bits per internal row) of
 // one building block: blocks are square in bit count.
-func (g MacroGeometry) BlockColumns() int {
+func (g *MacroGeometry) BlockColumns() int {
 	return units.NextPow2(int(math.Sqrt(float64(g.BlockBits))))
 }
 
 // BlockRows returns the number of internal rows of one building block.
-func (g MacroGeometry) BlockRows() int {
+func (g *MacroGeometry) BlockRows() int {
 	c := g.BlockColumns()
 	if c == 0 {
 		return 0
@@ -92,7 +92,7 @@ func (g MacroGeometry) BlockRows() int {
 }
 
 // Validate checks physical and §5-concept constraints.
-func (g MacroGeometry) Validate() error {
+func (g *MacroGeometry) Validate() error {
 	if err := g.ValidateSansPage(); err != nil {
 		return err
 	}
@@ -104,7 +104,7 @@ func (g MacroGeometry) Validate() error {
 // the page length, so a geometry valid under ValidateSansPage can be
 // shared across page-length variants (the design explorer's memoized
 // evaluation relies on this split); ValidatePage covers the rest.
-func (g MacroGeometry) ValidateSansPage() error {
+func (g *MacroGeometry) ValidateSansPage() error {
 	if err := g.Process.Validate(); err != nil {
 		return err
 	}
@@ -134,23 +134,23 @@ func (g MacroGeometry) ValidateSansPage() error {
 
 // MaxPageBits is the bank's column span: the longest page the
 // geometry's blocks can open in parallel.
-func (g MacroGeometry) MaxPageBits() int { return g.BlockColumns() * (g.Blocks / g.Banks) }
+func (g *MacroGeometry) MaxPageBits() int { return g.BlockColumns() * (g.Blocks / g.Banks) }
 
 // PageFits reports whether ValidatePage accepts the page length,
 // without building the error: the design explorer's sweep rejects
 // many page lengths and reads none of the messages.
-func (g MacroGeometry) PageFits() bool { return g.pageError(false) == nil }
+func (g *MacroGeometry) PageFits() bool { return g.pageError(false) == nil }
 
 // ValidatePage checks only the page-length rules (positive, at least the
 // interface width, within the bank's column span).
-func (g MacroGeometry) ValidatePage() error { return g.pageError(true) }
+func (g *MacroGeometry) ValidatePage() error { return g.pageError(true) }
 
 // errPageRange is PageFits' undescribed page-length failure.
 var errPageRange = errors.New("geom: page length out of range")
 
 // pageError applies the page-length rules, describing a failure only
 // when asked to.
-func (g MacroGeometry) pageError(describe bool) error {
+func (g *MacroGeometry) pageError(describe bool) error {
 	short := g.PageBits <= 0 || g.PageBits < g.InterfaceBits
 	switch {
 	case !short && g.PageBits <= g.MaxPageBits():
@@ -182,6 +182,23 @@ func (g MacroGeometry) Area() (AreaBreakdown, error) {
 	if err := g.Validate(); err != nil {
 		return AreaBreakdown{}, err
 	}
+	return g.area(), nil
+}
+
+// AreaSansPage is Area for a geometry whose page length is not chosen
+// yet: the area model never reads PageBits, so it checks only
+// ValidateSansPage. It validates once, through the pointer, which is
+// what a template build that shares the area across page lengths
+// wants.
+func (g *MacroGeometry) AreaSansPage() (AreaBreakdown, error) {
+	if err := g.ValidateSansPage(); err != nil {
+		return AreaBreakdown{}, err
+	}
+	return g.area(), nil
+}
+
+// area is the area model of a validated geometry.
+func (g *MacroGeometry) area() AreaBreakdown {
 	f2 := g.Process.FeatureUm * g.Process.FeatureUm // µm² per F²
 	um2ToMm2 := 1e-6
 
@@ -208,7 +225,7 @@ func (g MacroGeometry) Area() (AreaBreakdown, error) {
 	}
 	b.TotalMm2 = b.CellMm2 + b.ArrayOverheadMm2 + b.RedundancyMm2 + b.ECCMm2 + b.MacroOverheadMm2 + b.BISTMm2
 	b.EfficiencyMbitPerMm2 = units.Ratio(units.BitsToMbit(int64(g.TotalBits())), b.TotalMm2)
-	return b, nil
+	return b
 }
 
 // LogicAreaMm2 returns the area of kgates of random logic on process p.
