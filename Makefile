@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-audit lint-sarif lint-baseline race jobs-stress bench bench-compare fuzz fuzz-smoke serve-smoke load-smoke perfbench-check scenarios check loc
+.PHONY: build test vet lint lint-audit lint-sarif lint-baseline race jobs-stress bench bench-compare fuzz fuzz-smoke serve-smoke load-smoke perfbench-check perfbench-trace-smoke scenarios check loc
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,17 @@ load-smoke:
 # when the benchmark runs.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test .
+
+# perfbench-trace-smoke runs the benchmark's traced cold-explore
+# workload for one second (outputs under the git-ignored .bench_build/).
+# The traced replay drains ExploreContext and checks its Done snapshot,
+# a path no test binary runs against the built daemon; the target fails
+# unless the summary line reads "correct":true with "failed":0.
+perfbench-trace-smoke:
+	@line=$$(bash perfbench/run.sh --workload cold-explore --seed 1 --seconds 1 --trace 1 | tail -n 1); \
+	echo "$$line" | cut -c1-120; \
+	case "$$line" in *'"correct":true'*'"failed":0,'*) ;; \
+	*) echo "perfbench-trace-smoke: traced run was not correct or had failed operations"; exit 1;; esac
 
 # check is the tier-1 verify path: build, vet, lint (diff-gated) plus
 # the suppression audit, then race-checked tests, so the exploration engine's, experiment runner's and

@@ -8,14 +8,15 @@
 //
 //  1. Build a macro and render its deliverables: BuildMacro, Views.
 //  2. Explore the §3 design space: ExploreContext streams every
-//     buildable Candidate from a parallel worker pool (a wrapper over
-//     the engine's one sweep fold, which keeps the sweep's Pareto
-//     front), and RecommendContext quantizes the feasible Pareto
+//     buildable Candidate, in Seq order, of a sweep a parallel worker
+//     pool evaluated (a wrapper over the engine's one sweep fold, which
+//     keeps the sweep's Pareto front), and RecommendContext quantizes the feasible Pareto
 //     frontier into at most four named picks. Both take a context for
 //     cancellation and functional options — WithWorkers (pool size),
 //     WithProgress (ExploreStats snapshots: points enumerated/built/
 //     infeasible/pruned, front size, wall time, per-worker busy time),
-//     and WithObserver (a per-candidate tap).
+//     and WithObserver (a per-candidate tap that reads the finished
+//     sweep, every built candidate in Seq order).
 //  3. Simulate a multi-client memory system on a macro: Simulate, with
 //     SimOptions.Observer as the matching per-request trace callback.
 //  4. Serve the engine over HTTP: NewService builds the server behind
@@ -35,8 +36,8 @@
 // Migration note: the original serial signatures remain as thin
 // wrappers over the engine and keep their exact behavior —
 //
-//	Explore(req)   ≡ collect ExploreContext(context.Background(), req)
-//	                 and sort by Candidate.Seq (enumeration order)
+//	Explore(req)   ≡ collect ExploreContext(context.Background(), req),
+//	                 which streams in Candidate.Seq (enumeration) order
 //	Recommend(req) ≡ RecommendContext(context.Background(), req)
 //
 // — so existing callers need no change; new code should use the

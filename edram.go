@@ -97,18 +97,21 @@ func WithProgress(fn func(ExploreStats)) ExploreOption { return core.WithProgres
 // progress callbacks (default 512).
 func WithProgressEvery(n int) ExploreOption { return core.WithProgressEvery(n) }
 
-// WithObserver registers a per-candidate tap, invoked serially for
-// every built candidate before it is streamed to the caller; a sweep
-// with a tap builds every candidate in full, Macro and reasons
-// included.
+// WithObserver registers a per-candidate tap, invoked serially after
+// the sweep's fold for every built candidate of the window, in
+// increasing Seq, before it is streamed to the caller; a sweep with a
+// tap builds every candidate in full, Macro and reasons included, in
+// the caller's goroutine.
 func WithObserver(fn func(Candidate)) ExploreOption { return core.WithObserver(fn) }
 
 // ExploreContext enumerates and evaluates the full design space on a
 // worker pool, streaming every buildable candidate (feasible or not) on
 // the returned channel until the sweep is exhausted or ctx is
-// cancelled. Candidate.Seq restores canonical enumeration order. The
-// channel is a wrapper over the engine's one sweep fold: the candidates
-// are sent from its observer, after the caller's own WithObserver tap.
+// cancelled. The candidates arrive in canonical enumeration order
+// (increasing Candidate.Seq) at any worker count. The channel is a
+// wrapper over the engine's one sweep fold: the candidates are sent
+// from its observer, after the fold and the caller's own WithObserver
+// tap.
 func ExploreContext(ctx context.Context, req Requirements, opts ...ExploreOption) (<-chan Candidate, error) {
 	return core.ExploreContext(ctx, req, opts...)
 }

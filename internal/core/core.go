@@ -239,7 +239,7 @@ func evaluate(spec edram.Spec, macros int, req *Requirements, e *tech.Electrical
 	if err != nil {
 		return Candidate{}, err
 	}
-	dieCost, yieldEff, err := cost.MacroDieCost(m.Geometry.Process, 0,
+	dieCost, yieldEff, err := cost.MacroDieCost(&m.Geometry.Process, 0,
 		float64(macros)*m.Area.TotalMm2, req.DefectsPerCm2, repairFractionFor(spec.Redundancy))
 	if err != nil {
 		return Candidate{}, err
@@ -375,30 +375,18 @@ func failReason(pre string, have float64, mid string, want float64, prec int) st
 // prefer SweepContext or ExploreContext, which add cancellation, a
 // worker pool, and progress/observer hooks.
 func Explore(req Requirements) ([]Candidate, error) {
-	// Seq values are unique positions in [0, SweepCount), so canonical
-	// order is restored by placing each candidate at its Seq slot and
-	// compacting over the unbuildable gaps — O(n) with one exactly-sized
-	// allocation, instead of append-doubling plus a reflective sort that
-	// both churn the ~300-byte Candidate struct.
-	buf := make([]Candidate, SweepCount(req))
-	res, err := SweepContext(context.Background(), req, WithObserver(func(c Candidate) { buf[c.Seq] = c }))
+	// The observer sees the built points in Seq order, so appending
+	// keeps canonical order; SweepCount bounds them, so the one
+	// allocation never grows.
+	out := make([]Candidate, 0, SweepCount(req))
+	res, err := SweepContext(context.Background(), req, WithObserver(func(c Candidate) { out = append(out, c) }))
 	if err != nil {
 		return nil, err
 	}
 	if res.Built == 0 {
 		return nil, fmt.Errorf("core: no buildable configuration for %+v", req)
 	}
-	w := 0
-	for i := range buf {
-		if buf[i].Macro == nil { // unbuildable corner: slot never filled
-			continue
-		}
-		if w != i {
-			buf[w] = buf[i]
-		}
-		w++
-	}
-	return buf[:w], nil
+	return out, nil
 }
 
 // Feasible filters to the candidates meeting every requirement.

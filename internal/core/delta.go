@@ -105,9 +105,10 @@ func (st *evalStore) count(rs []seqRange) int64 {
 
 // NewDeltaState prepares recording for one full pruned explore of req:
 // Record runs it and seals the state. A caller that runs the sweep
-// itself feeds every built candidate to Observe (WithObserver) and
-// calls Seal once the run completed; either way the state then covers
-// exactly the intervals a pruned full sweep enumerates.
+// itself passes Observe as the sweep's observer (WithObserver), which
+// hands it every built candidate after the fold, and calls Seal once
+// the run completed; either way the state then covers exactly the
+// intervals a pruned full sweep enumerates.
 func NewDeltaState(req Requirements) (*DeltaState, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -150,7 +151,9 @@ func (s *DeltaState) Record(ctx context.Context, opts ...ExploreOption) (SweepRe
 
 // Observe records one built candidate of the state's own full explore.
 // It must see every built candidate of a pruned full sweep of the
-// state's requirements, in any order, before Seal.
+// state's requirements before Seal; as a sweep's observer it sees them
+// in increasing Seq, after the fold, though any order records the same
+// store.
 func (s *DeltaState) Observe(c Candidate) {
 	s.records.put(&pointEval{c.Seq, c.AreaMm2, c.PowerMW, c.CostUSD, c.SustainedGBps, c.Macro.ClockMHz})
 }

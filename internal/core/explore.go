@@ -8,8 +8,10 @@
 // evaluation record per built point (pointEval plus a violation mask),
 // measured from the point's template; the fold keeps an incremental
 // Pareto front of records and the closest miss, and builds full
-// Candidates — Macro and reasons — only for what the sweep returns, or
-// for every built point when the sweep has an observer. Every other entry point reads that fold — ExploreContext
+// Candidates — Macro and reasons — only for what the sweep returns.
+// An observer reads the finished sweep: after the fold, one pass in the
+// caller's goroutine hands it every built point of the window in Seq
+// order. Every other entry point reads that fold — ExploreContext
 // streams the built candidates through its observer, and
 // Explore/Recommend in core.go are thin compatibility wrappers.
 
@@ -194,26 +196,20 @@ type outcome struct {
 // worker to the collector (outs[:n], in Seq order), which returns it
 // to batchPool: the steady-state sweep allocates no per-batch slices.
 // Pooled content is always rewritten before use — nothing carries
-// over. cands holds the full candidates of a sweep with an observer; it
-// stays nil until the batch serves such a sweep, so the batches of
-// unobserved sweeps carry only the small outcome records.
+// over.
 type batch struct {
-	n     int
-	outs  []outcome
-	cands []Candidate
+	n    int
+	outs []outcome
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 // getBatch takes an empty batch from the pool that holds n outcomes
-// without growing, and as many candidates when observed.
-func getBatch(n int, observed bool) *batch {
+// without growing.
+func getBatch(n int) *batch {
 	b := batchPool.Get().(*batch)
 	if len(b.outs) < n {
 		b.outs = make([]outcome, n)
-	}
-	if observed && len(b.cands) < n {
-		b.cands = make([]Candidate, n)
 	}
 	b.n = 0
 	return b
@@ -322,13 +318,13 @@ func WithProgressEvery(n int) ExploreOption {
 	return func(c *exploreConfig) { c.progressEvery = n }
 }
 
-// WithObserver registers a callback invoked (from the engine's
-// collector goroutine, serialized, in arrival order) for every built
-// candidate, feasible or not — before ExploreContext sends it on the
-// result channel. It is how a caller of SweepContext sees the
-// candidates the fold does not keep: with an observer set, the workers
-// also assemble every built candidate in full, Macro and reasons
-// included.
+// WithObserver registers a callback invoked for every built candidate
+// of the enumerated window, feasible or not, in increasing Seq, after
+// the fold — before ExploreContext sends it on the result channel. It
+// is how a caller of SweepContext sees the candidates the fold does not
+// keep: once the workers have exited, the calling goroutine assembles
+// each built candidate in full, Macro and reasons included, and hands
+// it over, so the order is the same at every worker count.
 func WithObserver(fn func(Candidate)) ExploreOption {
 	return func(c *exploreConfig) { c.observer = fn }
 }
@@ -536,9 +532,11 @@ func sweepRecorded(ctx context.Context, req Requirements, sink *evalStore, opts 
 
 // SweepContext enumerates and evaluates the design space on a worker
 // pool and folds every evaluated point in the caller's goroutine: the
-// counters, the one Pareto front of the sweep, the observer and the
-// progress callbacks. It returns once the window is exhausted, or with
-// ctx's error once ctx is cancelled; either way its workers have exited.
+// counters, the one Pareto front of the sweep and the progress
+// callbacks. With an observer set, it then hands the observer every
+// built point in Seq order, before the final progress snapshot. It
+// returns once the window is exhausted, or with ctx's error once ctx is
+// cancelled; either way its workers have exited.
 func SweepContext(ctx context.Context, req Requirements, opts ...ExploreOption) (SweepResult, error) {
 	s, err := newSweep(req, opts)
 	if err != nil {
@@ -567,7 +565,6 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 	claimed.Store(int64(s.from/span) - 1)
 	last := int64((s.to - 1) / span)
 	results := make(chan *batch, cfg.workers*2)
-	observed := cfg.observer != nil
 	var wg sync.WaitGroup
 	wg.Add(cfg.workers)
 	for w := 0; w < cfg.workers; w++ {
@@ -581,13 +578,9 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 					return
 				default:
 				}
-				b := getBatch(span, observed)
+				b := getBatch(span)
 				s.space.walkBlock(ranges, int(blk), &c, func() {
-					var cand *Candidate // the observer's, if any
-					if observed {
-						cand = &b.cands[b.n]
-					}
-					s.memo.evaluate(&b.outs[b.n], cand, &c, slots)
+					s.memo.evaluate(&b.outs[b.n], &c, slots)
 					b.n++
 				})
 				if b.n == 0 { // the plan skips the whole block
@@ -608,9 +601,9 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 		close(results)
 	}()
 
-	// Collector: the calling goroutine owns the fold, so observer and
-	// progress callbacks need no locking. After a cancellation it only
-	// drains, until the workers have exited.
+	// Collector: the calling goroutine owns the fold, so the progress
+	// callbacks need no locking. After a cancellation it only drains,
+	// until the workers have exited.
 	f := newFold()
 	skipped, skippedBuildable := s.plan.tally(s.from, s.to)
 	snapshot := func(done bool) ExploreStats {
@@ -637,9 +630,6 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 			if s.sink != nil {
 				s.sink.put(&o.ev)
 			}
-			if observed {
-				cfg.observer(b.cands[i])
-			}
 		}
 		batchPool.Put(b)
 		if cfg.progress != nil && f.enumerated-lastProgress >= int64(cfg.progressEvery) {
@@ -648,6 +638,9 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 		}
 	}
 	err := ctx.Err()
+	if err == nil && cfg.observer != nil {
+		err = s.emit(ctx, ranges)
+	}
 	if cfg.progress != nil {
 		cfg.progress(snapshot(err == nil))
 	}
@@ -657,21 +650,43 @@ func (s *sweep) run(ctx context.Context) (SweepResult, error) {
 	return f.result(skipped, skippedBuildable, s.memo), nil
 }
 
+// emit is the observer's pass over a folded sweep: it walks the
+// enumerated ranges in Seq order through one slot table, so each
+// projection is built once, and hands the observer every buildable
+// point's full candidate. It stops with ctx's error once ctx is
+// cancelled.
+func (s *sweep) emit(ctx context.Context, ranges []seqRange) error {
+	var c cursor
+	slots := s.memo.table()
+	for _, r := range ranges {
+		s.space.walk(r.From, r.To, &c, func() {
+			if ctx.Err() != nil {
+				return
+			}
+			if sl, _, ok := s.memo.slot(&c, slots); ok {
+				pt := s.space.at(c.seq, &c.d)
+				s.cfg.observer(s.memo.materialize(sl, &pt))
+			}
+		})
+	}
+	return ctx.Err()
+}
+
 // ExploreContext streams every buildable candidate (feasible or not)
-// of the sweep on the returned channel: it validates synchronously,
-// then runs SweepContext in a goroutine with an observer that sends
-// each built candidate after the caller's own observer ran. The
-// channel is closed when the sweep is exhausted or ctx is cancelled;
-// per-candidate order is non-deterministic across workers, but
-// Candidate.Seq restores canonical enumeration order. The error return
-// covers invalid requirements or options only.
+// of the sweep on the returned channel, in increasing Seq: it validates
+// synchronously, then runs SweepContext in a goroutine with an observer
+// that sends each built candidate after the caller's own observer ran.
+// The candidates follow the fold, so the first arrives once the whole
+// window is evaluated. The channel is closed when the sweep is
+// exhausted or ctx is cancelled. The error return covers invalid
+// requirements or options only.
 func ExploreContext(ctx context.Context, req Requirements, opts ...ExploreOption) (<-chan Candidate, error) {
 	s, err := newSweep(req, opts)
 	if err != nil {
 		return nil, err
 	}
-	// A few batches' worth of candidates, so the fold keeps draining
-	// workers while the consumer catches up.
+	// A few projections' worth of candidates, so materializing the next
+	// ones overlaps the consumer.
 	out := make(chan Candidate, 128)
 	user := s.cfg.observer
 	s.cfg.observer = func(c Candidate) {

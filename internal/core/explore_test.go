@@ -22,26 +22,33 @@ func candidateKey(c Candidate) string {
 		c.AreaMm2, c.PowerMW, c.SustainedGBps, c.CostUSD, c.DieYield, c.Feasible)
 }
 
-func frontKeys(t *testing.T, workers int) string {
+// streamKeys drains ExploreContext at the given worker count and
+// renders the whole stream, in the order it arrived, and the Pareto
+// front folded from it.
+func streamKeys(t *testing.T, workers int) (stream, front string) {
 	t.Helper()
 	ch, err := ExploreContext(context.Background(), req(), WithWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := NewFrontier()
-	for c := range ch {
-		front.Add(c)
-	}
+	fr := NewFrontier()
 	var sb strings.Builder
-	for _, c := range front.Candidates() {
+	for c := range ch {
+		fr.Add(c)
 		sb.WriteString(candidateKey(c))
 		sb.WriteByte('\n')
 	}
-	return sb.String()
+	stream = sb.String()
+	sb.Reset()
+	for _, c := range fr.Candidates() {
+		sb.WriteString(candidateKey(c))
+		sb.WriteByte('\n')
+	}
+	return stream, sb.String()
 }
 
 func TestExploreContextDeterministicAcrossWorkerCounts(t *testing.T) {
-	serial := frontKeys(t, 1)
+	serialStream, serial := streamKeys(t, 1)
 	if serial == "" {
 		t.Fatal("empty Pareto front from serial run")
 	}
@@ -49,9 +56,13 @@ func TestExploreContextDeterministicAcrossWorkerCounts(t *testing.T) {
 		if w < 2 {
 			continue
 		}
-		if parallel := frontKeys(t, w); parallel != serial {
+		stream, parallel := streamKeys(t, w)
+		if parallel != serial {
 			t.Errorf("front with %d workers differs from serial:\nserial:\n%s\nworkers=%d:\n%s",
 				w, serial, w, parallel)
+		}
+		if stream != serialStream {
+			t.Errorf("stream with %d workers differs from serial (%d vs %d bytes)", w, len(stream), len(serialStream))
 		}
 	}
 }
@@ -81,17 +92,18 @@ func TestExploreContextMatchesExplore(t *testing.T) {
 
 // TestExploreContextMatchesSweep pins the streaming wrapper to the
 // fold it wraps: draining ExploreContext yields exactly the built
-// candidates SweepContext's observer sees (by Seq), and folding the
-// stream through a Frontier reproduces the sweep's frontier.
+// candidates SweepContext's observer sees, in the same strictly
+// increasing Seq order, and folding the stream through a Frontier
+// reproduces the sweep's frontier.
 func TestExploreContextMatchesSweep(t *testing.T) {
 	r := Requirements{CapacityMbit: 32, BandwidthGBps: 2.5, HitRate: 0.7, MaxAreaMm2: 60}
 	for name, opts := range map[string][]ExploreOption{
 		"full":          {WithWorkers(2)},
 		"pruned-window": {WithWorkers(3), WithPruning(), WithSeqRange(500, 3000)},
 	} {
-		want := map[int]string{}
+		var want []Candidate
 		res, err := SweepContext(context.Background(), r,
-			append(opts, WithObserver(func(c Candidate) { want[c.Seq] = candidateKey(c) }))...)
+			append(opts, WithObserver(func(c Candidate) { want = append(want, c) }))...)
 		if err != nil {
 			t.Fatalf("%s: SweepContext: %v", name, err)
 		}
@@ -99,18 +111,21 @@ func TestExploreContextMatchesSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: ExploreContext: %v", name, err)
 		}
-		got := map[int]string{}
+		var got []Candidate
 		front := NewFrontier()
 		for c := range ch {
-			got[c.Seq] = candidateKey(c)
+			got = append(got, c)
 			front.Add(c)
 		}
 		if len(got) != len(want) || int64(len(got)) > res.Built {
 			t.Fatalf("%s: streamed %d candidates, the fold observed %d (built %d)", name, len(got), len(want), res.Built)
 		}
-		for seq, k := range want {
-			if got[seq] != k {
-				t.Fatalf("%s: candidate Seq=%d differs:\nstream %s\nfold   %s", name, seq, got[seq], k)
+		for i := range want {
+			if i > 0 && want[i].Seq <= want[i-1].Seq {
+				t.Fatalf("%s: observer saw Seq %d after %d", name, want[i].Seq, want[i-1].Seq)
+			}
+			if g, w := candidateKey(got[i]), candidateKey(want[i]); g != w {
+				t.Fatalf("%s: candidate %d differs:\nstream %s\nfold   %s", name, i, g, w)
 			}
 		}
 		streamed := front.Candidates()

@@ -105,31 +105,31 @@ func (mm *evalMemo) record(seq int, sl *memoSlot, pageBits int) pointEval {
 	return pointEval{seq, sl.pe.area, float64(sl.macros) * p.TotalMW, sl.pe.cost, sl.pe.sustained, sl.pe.clock}
 }
 
-// evaluate is a worker's per-point work for the point at cursor c: it
-// refills the point's slot in place unless the slot already holds the
-// point's projection and writes its outcome — the evaluation record
-// (from the template) and violation mask, or unbuildable. For a sweep
-// with an observer (cand non-nil) it also assembles the full candidate
-// into *cand, on a macro of its own, so the observer's candidates are
-// built on the workers.
-func (mm *evalMemo) evaluate(o *outcome, cand *Candidate, c *cursor, slots []memoSlot) {
+// slot returns the slot of the point at cursor c, refilled in place
+// unless it already holds the point's projection, with the point's page
+// length and whether the point is buildable.
+func (mm *evalMemo) slot(c *cursor, slots []memoSlot) (sl *memoSlot, pageBits int, ok bool) {
 	sp := mm.space
-	sl := &slots[c.seq%len(slots)]
+	sl = &slots[c.seq%len(slots)]
 	if proj := sp.proj(c.seq); sl.proj != proj {
 		pt := sp.at(c.seq, &c.d)
 		mm.fill(sl, &pt)
 		sl.proj = proj
 	}
-	pageBits := sweepIfaceBits[c.d[digitIface]] * sweepPageMults[c.d[digitPage]]
-	if o.ok = sl.ok && sl.tmpl.PageFits(pageBits); !o.ok {
+	pageBits = sweepIfaceBits[c.d[digitIface]] * sweepPageMults[c.d[digitPage]]
+	return sl, pageBits, sl.ok && sl.tmpl.PageFits(pageBits)
+}
+
+// evaluate is a worker's per-point work for the point at cursor c: it
+// writes the point's outcome — the evaluation record (from the
+// template) and violation mask, or unbuildable.
+func (mm *evalMemo) evaluate(o *outcome, c *cursor, slots []memoSlot) {
+	sl, pageBits, ok := mm.slot(c, slots)
+	if o.ok = ok; !ok {
 		return
 	}
 	o.ev = mm.record(c.seq, sl, pageBits)
 	o.viol = violations(&o.ev, &mm.req)
-	if cand != nil {
-		pt := sp.at(c.seq, &c.d)
-		*cand = mm.materialize(sl, &pt)
-	}
 }
 
 // materialize assembles the full Candidate of a built point from its
@@ -145,9 +145,10 @@ func (mm *evalMemo) materialize(sl *memoSlot, pt *Point) Candidate {
 }
 
 // candidate materializes the full Candidate of a built point from its
-// Seq alone: the space's point evaluated as an observed sweep would,
-// through a slot on the stack — the same pure computations the worker
-// ran, so the bytes match the record it emitted. It is the only way
+// Seq alone: the space's point filled and materialized as the
+// observer's pass does, through a slot on the stack — the same pure
+// computations the worker ran, so the bytes match the record it
+// emitted. It is the only way
 // the fold and DeltaExplore turn a record into a Candidate. A Seq that
 // has a record is buildable by construction; any other is a programming
 // error.

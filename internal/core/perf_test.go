@@ -262,7 +262,7 @@ func BenchmarkEvaluatePoints(b *testing.B) {
 		}
 		n := 0
 		sp.walkBlock(ranges, blk, &c, func() {
-			mm.evaluate(&outs[n], nil, &c, slots)
+			mm.evaluate(&outs[n], &c, slots)
 			n++
 		})
 	}

@@ -173,7 +173,7 @@ func costNeverFails(req Requirements, sp *space, procOK []bool) bool {
 			continue // nothing buildable for this process
 		}
 		d := p.WaferDiameterMm
-		if maxDie > d*d/2 || geom.DiesPerWafer(*p, maxDie) < 1 {
+		if maxDie > d*d/2 || geom.DiesPerWafer(p, maxDie) < 1 {
 			return false
 		}
 	}

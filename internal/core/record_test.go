@@ -59,7 +59,7 @@ func TestRecordMatchesMacro(t *testing.T) {
 
 // TestEvaluateAllocatesNothing: a worker evaluating a built point —
 // through a filled slot, or refilling the slot first — touches the heap
-// not at all; only an observed sweep's candidates allocate.
+// not at all; only a materialized candidate allocates.
 func TestEvaluateAllocatesNothing(t *testing.T) {
 	r := req()
 	sp := newSpace(r, resolveProcesses(r))
@@ -69,7 +69,7 @@ func TestEvaluateAllocatesNothing(t *testing.T) {
 	var o outcome
 	c.seq = sp.total / 2
 	c.d = sp.digits(c.seq)
-	if mm.evaluate(&o, nil, &c, slots); !o.ok {
+	if mm.evaluate(&o, &c, slots); !o.ok {
 		t.Fatalf("seq %d does not build; pick a built point", c.seq)
 	}
 	sl := &slots[c.seq%len(slots)]
@@ -78,7 +78,7 @@ func TestEvaluateAllocatesNothing(t *testing.T) {
 			if refill {
 				sl.proj = -1
 			}
-			mm.evaluate(&o, nil, &c, slots)
+			mm.evaluate(&o, &c, slots)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: evaluate allocates %.1f times per point", name, allocs)

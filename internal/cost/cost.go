@@ -15,7 +15,7 @@ import (
 
 // DieCostUSD returns the cost of one good die of dieMm2 on process p
 // with extraMetal additional metal layers, at the given die yield.
-func DieCostUSD(p tech.Process, dieMm2 float64, extraMetal int, dieYield float64) (float64, error) {
+func DieCostUSD(p *tech.Process, dieMm2 float64, extraMetal int, dieYield float64) (float64, error) {
 	if dieMm2 <= 0 {
 		return 0, fmt.Errorf("cost: die area must be positive")
 	}
@@ -100,7 +100,7 @@ func EmbeddedSystem(chipUSD, footprintCm2 float64) SystemCost {
 // plus an eDRAM macro of macroMm2 on process p, with yield from the
 // negative-binomial model improved by the macro's redundancy repair
 // rate (repairFraction of memory-defective dies are recovered).
-func MacroDieCost(p tech.Process, logicKGates, macroMm2, defectsPerCm2, repairFraction float64) (float64, float64, error) {
+func MacroDieCost(p *tech.Process, logicKGates, macroMm2, defectsPerCm2, repairFraction float64) (float64, float64, error) {
 	if repairFraction < 0 || repairFraction > 1 {
 		return 0, 0, fmt.Errorf("cost: repair fraction %g out of [0,1]", repairFraction)
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestDieCost(t *testing.T) {
 	p := tech.Siemens024()
-	c, err := DieCostUSD(p, 50, 0, 0.8)
+	c, err := DieCostUSD(&p, 50, 0, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestDieCost(t *testing.T) {
 		t.Errorf("50 mm² die cost $%.2f implausible", c)
 	}
 	// Monotone: bigger dies cost more.
-	c2, err := DieCostUSD(p, 100, 0, 0.8)
+	c2, err := DieCostUSD(&p, 100, 0, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,12 +26,12 @@ func TestDieCost(t *testing.T) {
 		t.Error("bigger die must cost more")
 	}
 	// Lower yield costs more.
-	c3, _ := DieCostUSD(p, 50, 0, 0.4)
+	c3, _ := DieCostUSD(&p, 50, 0, 0.4)
 	if c3 <= c {
 		t.Error("worse yield must cost more")
 	}
 	// Extra metal layers cost more (paper §1).
-	c4, _ := DieCostUSD(p, 50, 2, 0.8)
+	c4, _ := DieCostUSD(&p, 50, 2, 0.8)
 	if c4 <= c {
 		t.Error("extra metal must cost more")
 	}
@@ -39,19 +39,19 @@ func TestDieCost(t *testing.T) {
 
 func TestDieCostErrors(t *testing.T) {
 	p := tech.Siemens024()
-	if _, err := DieCostUSD(p, 0, 0, 0.5); err == nil {
+	if _, err := DieCostUSD(&p, 0, 0, 0.5); err == nil {
 		t.Error("zero area must error")
 	}
-	if _, err := DieCostUSD(p, 50, 0, 0); err == nil {
+	if _, err := DieCostUSD(&p, 50, 0, 0); err == nil {
 		t.Error("zero yield must error")
 	}
-	if _, err := DieCostUSD(p, 50, 0, 1.5); err == nil {
+	if _, err := DieCostUSD(&p, 50, 0, 1.5); err == nil {
 		t.Error("yield > 1 must error")
 	}
-	if _, err := DieCostUSD(p, 50, -1, 0.5); err == nil {
+	if _, err := DieCostUSD(&p, 50, -1, 0.5); err == nil {
 		t.Error("negative metal must error")
 	}
-	if _, err := DieCostUSD(p, 1e9, 0, 0.5); err == nil {
+	if _, err := DieCostUSD(&p, 1e9, 0, 0.5); err == nil {
 		t.Error("die bigger than wafer must error")
 	}
 }
@@ -95,11 +95,11 @@ func TestSystemComparison(t *testing.T) {
 
 func TestMacroDieCost(t *testing.T) {
 	p := tech.Siemens024()
-	c0, y0, err := MacroDieCost(p, 500, 16, 0.8, 0)
+	c0, y0, err := MacroDieCost(&p, 500, 16, 0.8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, y1, err := MacroDieCost(p, 500, 16, 0.8, 0.9)
+	c1, y1, err := MacroDieCost(&p, 500, 16, 0.8, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,17 +110,17 @@ func TestMacroDieCost(t *testing.T) {
 	if y1 > 1 {
 		t.Error("yield must cap at 1")
 	}
-	if _, _, err := MacroDieCost(p, 500, 16, 0.8, 1.5); err == nil {
+	if _, _, err := MacroDieCost(&p, 500, 16, 0.8, 1.5); err == nil {
 		t.Error("repair fraction > 1 must error")
 	}
-	if _, _, err := MacroDieCost(p, 0, 0, 0.8, 0.5); err == nil {
+	if _, _, err := MacroDieCost(&p, 0, 0, 0.8, 0.5); err == nil {
 		t.Error("empty die must error")
 	}
 }
 
 func TestMacroDieCostYieldConsistency(t *testing.T) {
 	p := tech.Siemens024()
-	_, y, err := MacroDieCost(p, 500, 16, 0, 0)
+	_, y, err := MacroDieCost(&p, 500, 16, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

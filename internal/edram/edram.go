@@ -344,8 +344,9 @@ func (t *Template) Reset(spec Spec) error {
 func (t *Template) TotalAreaMm2() float64 { return t.area.TotalMm2 }
 
 // Process is the resolved base process of the template (the spec's, or
-// the default when the spec left it nil).
-func (t *Template) Process() tech.Process { return t.geo.Process }
+// the default when the spec left it nil). The caller must not modify
+// it.
+func (t *Template) Process() *tech.Process { return &t.geo.Process }
 
 // Geometry is the template's organization with PageBits unset. The
 // caller must not modify it.

@@ -72,7 +72,7 @@ func evalMarket(sc marketScenario) (marketCompare, error) {
 	logicDie := geom.Die{LogicKGates: sc.LogicKGates, SignalPins: logicPads, Process: logicProc}
 	logicRep := logicDie.Compose()
 	logicYield := yield.NegBinomialYield(0.8, logicRep.TotalMm2, 2.5)
-	logicCost, err := cost.DieCostUSD(logicProc, logicRep.TotalMm2, 0, logicYield)
+	logicCost, err := cost.DieCostUSD(&logicProc, logicRep.TotalMm2, 0, logicYield)
 	if err != nil {
 		return marketCompare{}, err
 	}
@@ -95,7 +95,7 @@ func evalMarket(sc marketScenario) (marketCompare, error) {
 		return marketCompare{}, err
 	}
 	embPadsRing := geom.PadRingAreaMm2(80) // host/control only; the memory bus is internal
-	hybridCost, _, err := cost.MacroDieCost(dramProc, sc.LogicKGates, m.Area.TotalMm2+embPadsRing, 0.8, 0.9)
+	hybridCost, _, err := cost.MacroDieCost(&dramProc, sc.LogicKGates, m.Area.TotalMm2+embPadsRing, 0.8, 0.9)
 	if err != nil {
 		return marketCompare{}, err
 	}
@@ -231,7 +231,7 @@ func E20Feasibility() (Experiment, error) {
 		if err != nil {
 			return Experiment{}, err
 		}
-		logicMm2 := geom.LogicAreaMm2(proc, c.kgates)
+		logicMm2 := geom.LogicAreaMm2(&proc, c.kgates)
 		pads := geom.PadRingAreaMm2(200)
 		die := m.Area.TotalMm2 + logicMm2 + pads
 		dies[i] = die

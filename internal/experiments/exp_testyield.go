@@ -109,7 +109,7 @@ func E12Process() (Experiment, error) {
 			return Experiment{}, err
 		}
 		logicMm2 := logicAreaOn(p, kgates)
-		dieCost, yieldEff, err := cost.MacroDieCost(p, kgates, macroMm2, 0.8, 0.9)
+		dieCost, yieldEff, err := cost.MacroDieCost(&p, kgates, macroMm2, 0.8, 0.9)
 		if err != nil {
 			return Experiment{}, err
 		}

@@ -25,7 +25,7 @@ func macroAreaOn(p tech.Process, mbit int) (float64, error) {
 
 // logicAreaOn returns the standard-cell area of kgates on process p.
 func logicAreaOn(p tech.Process, kgates float64) float64 {
-	return geom.LogicAreaMm2(p, kgates)
+	return geom.LogicAreaMm2(&p, kgates)
 }
 
 // Simulator returns the core.SimulateFunc used to validate explorer

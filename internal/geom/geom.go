@@ -221,7 +221,7 @@ func (g *MacroGeometry) area() AreaBreakdown {
 	b.ECCMm2 = g.ECCOverheadFrac * (b.CellMm2 + b.ArrayOverheadMm2)
 	b.MacroOverheadMm2 = macroFixedMm2 + float64(g.Banks)*perBankControlMm2 + float64(g.InterfaceBits)*perInterfaceBitMm2
 	if g.WithBIST {
-		b.BISTMm2 = LogicAreaMm2(g.Process, bistControllerKGate)
+		b.BISTMm2 = LogicAreaMm2(&g.Process, bistControllerKGate)
 	}
 	b.TotalMm2 = b.CellMm2 + b.ArrayOverheadMm2 + b.RedundancyMm2 + b.ECCMm2 + b.MacroOverheadMm2 + b.BISTMm2
 	b.EfficiencyMbitPerMm2 = units.Ratio(units.BitsToMbit(int64(g.TotalBits())), b.TotalMm2)
@@ -229,7 +229,7 @@ func (g *MacroGeometry) area() AreaBreakdown {
 }
 
 // LogicAreaMm2 returns the area of kgates of random logic on process p.
-func LogicAreaMm2(p tech.Process, kgates float64) float64 {
+func LogicAreaMm2(p *tech.Process, kgates float64) float64 {
 	if kgates <= 0 || p.LogicDensityKGatesPerMm2 <= 0 {
 		return 0
 	}
@@ -271,7 +271,7 @@ type DieReport struct {
 // Compose computes the die report.
 func (d Die) Compose() DieReport {
 	var r DieReport
-	r.CoreMm2 = LogicAreaMm2(d.Process, d.LogicKGates)
+	r.CoreMm2 = LogicAreaMm2(&d.Process, d.LogicKGates)
 	for _, m := range d.MacroAreas {
 		r.CoreMm2 += m.TotalMm2
 	}
@@ -292,7 +292,7 @@ func (d Die) Compose() DieReport {
 
 // DiesPerWafer estimates gross dies per wafer for the process, using the
 // classic circular-wafer formula with edge loss.
-func DiesPerWafer(p tech.Process, dieMm2 float64) int {
+func DiesPerWafer(p *tech.Process, dieMm2 float64) int {
 	if dieMm2 <= 0 {
 		return 0
 	}

@@ -195,11 +195,11 @@ func abs(x float64) float64 {
 func TestLogicArea(t *testing.T) {
 	p := tech.Logic024()
 	// 500 kgates on a 45 kgates/mm² process ≈ 11 mm².
-	a := LogicAreaMm2(p, 500)
+	a := LogicAreaMm2(&p, 500)
 	if a < 10 || a > 13 {
 		t.Errorf("500 kgates area %.1f mm² implausible", a)
 	}
-	if LogicAreaMm2(p, 0) != 0 || LogicAreaMm2(p, -5) != 0 {
+	if LogicAreaMm2(&p, 0) != 0 || LogicAreaMm2(&p, -5) != 0 {
 		t.Error("degenerate gate counts must yield 0")
 	}
 }
@@ -239,12 +239,12 @@ func TestPadLimitedTransformation(t *testing.T) {
 
 func TestDiesPerWafer(t *testing.T) {
 	p := tech.Siemens024()
-	small := DiesPerWafer(p, 20)
-	big := DiesPerWafer(p, 200)
+	small := DiesPerWafer(&p, 20)
+	big := DiesPerWafer(&p, 200)
 	if small <= big || big <= 0 {
 		t.Fatalf("dies per wafer must fall with die size: %d vs %d", small, big)
 	}
-	if DiesPerWafer(p, 0) != 0 {
+	if DiesPerWafer(&p, 0) != 0 {
 		t.Error("zero die area must yield 0 dies")
 	}
 	// 200-mm wafer has ~31400 mm²; a 20-mm² die should give well over

@@ -42,10 +42,10 @@ func metricValue(t *testing.T, client *http.Client, baseURL, series string) stri
 	return ""
 }
 
-// TestShardParityLocalParts pins the partition loop of explore jobs:
+// TestPartitionParityLocalParts pins the partition loop of explore jobs:
 // a job swept in N in-order partitions, checkpointing after each, is
 // byte-identical to the undivided sweep, for N = 1 and N > 1.
-func TestShardParityLocalParts(t *testing.T) {
+func TestPartitionParityLocalParts(t *testing.T) {
 	want := exploreReference(t)
 	var req RequirementsRequest
 	if err := strictUnmarshal([]byte(testReq), &req); err != nil {
